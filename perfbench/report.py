@@ -8,6 +8,7 @@ import os
 import resource
 import statistics
 
+import hostspeed
 import reference
 import workloads as w
 from repro.bench.suite import all_benchmarks, get_benchmark
@@ -37,7 +38,7 @@ MEANING = {
     },
     "serve-fleet": {
         "latency_ms": "serve_p50_ms: median request latency from its "
-                      "due time, fastest block of 50 requests",
+                      "due time over the latency window",
         "model_cycles": "geomean over tenants of the median model cycles "
                         "of their requests in the latency window",
     },
@@ -275,6 +276,10 @@ def print_report(args, report):
         args.workload, args.seed, args.seconds, detail.get("passes", 1)))
     print("resolved config: %s" % " ".join(
         "%s=%s" % item for item in sorted(detail["config"].items())))
+    print("host scale %.4f: times are wall times scaled to a host that "
+          "runs the calibration in %g ms (hostspeed.py); wall time "
+          "is about value / scale" % (detail["host_scale"],
+                                      hostspeed.NOMINAL_S * 1000.0))
     print("end-to-end metrics (untraced):")
     meaning = MEANING[args.workload]
     for name, unit in UNITS.items():

@@ -12,7 +12,8 @@
   request path but contends for the interpreter lock).
 
 Every workload repeats *passes* (fresh programs, fresh engines) until
-``--seconds`` have elapsed and reports medians over passes. Every
+``--seconds`` have elapsed. Set-up and latency times are wall times
+scaled to a nominal host speed (:mod:`hostspeed`). Every
 result is checked against the interpreter reference
 (:mod:`reference`); a program that crashes is charged the
 interpreter-only wall time (measured in the same run) and cycles for
@@ -20,6 +21,7 @@ the iterations it was due to run, so fixing a crash never makes a time
 metric read worse.
 """
 
+import bisect
 import gc
 import math
 import random
@@ -36,6 +38,7 @@ from repro.jit.engine import Engine
 from repro.serve.admission import ServiceConfig, TenantSpec
 from repro.serve.service import VMService
 
+import hostspeed
 import reference
 from spans import Tracer
 
@@ -68,6 +71,8 @@ SERVE_WARMUP_REQUESTS = 100  # excluded from the latency window
 SERVE_LIMIT_MS = 250.0       # latency limit of serve_ok_ratio
 SERVE_SETUPS = 5             # set-ups per session (setup_s: their median)
 SERVE_SESSIONS = 2           # sessions per untraced run
+SERVE_PROBE_SLACK_S = 0.01   # least gap before a due request to probe in
+SERVE_PROBE_SPAN = 2         # probes each side that scale a request
 
 
 def vm_seed(seed, name):
@@ -194,13 +199,16 @@ def bailout_walls(name, seed, first, total):
     (and so at the same host speed) as the programs that pass."""
     engine = reference.interpreter_engine(fresh_program(name),
                                           vm_seed(seed, name))
-    walls = []
+    walls, before = [], None
     for index in range(total):
+        if index == first:
+            before = hostspeed.probe()
         start = time.perf_counter()
         reference.outcome_of(engine)
         if index >= first:
             walls.append(time.perf_counter() - start)
-    return walls
+    factor = hostspeed.scale(before, hostspeed.probe())
+    return [wall * factor for wall in walls]
 
 
 def run_program(name, seed, ref, steady, timer, tracer, bailouts):
@@ -211,6 +219,8 @@ def run_program(name, seed, ref, steady, timer, tracer, bailouts):
     compiles_before = len(timer.samples)
     if tracer is not None:
         tracer.phase = "setup"
+    # Probes bracket the set-up and the timed window (hostspeed.py).
+    probes = [hostspeed.probe()]
     start = time.perf_counter()
     program = fresh_program(name)
     engine = Engine(program, JitConfig(**SUITE_JIT),
@@ -221,8 +231,10 @@ def run_program(name, seed, ref, steady, timer, tracer, bailouts):
     total = first + (STEADY_ITERATIONS if steady else COLD_ITERATIONS)
     walls, cycles, error, failed_at = [], [], None, None
     for index in range(total):
-        if tracer is not None and index == first:
-            tracer.phase = "measure"
+        if index == first:
+            probes.append(hostspeed.probe())
+            if tracer is not None:
+                tracer.phase = "measure"
         wall, result, error = check(engine, ref[index])
         if error is not None:
             failed_at = index
@@ -234,6 +246,10 @@ def run_program(name, seed, ref, steady, timer, tracer, bailouts):
             # A trap matching the reference has no iteration result.
             cycles.append(result.total_cycles if result
                           else ref[index]["cycles"])
+    probes.append(hostspeed.probe())
+    setup_scale = hostspeed.scale(*probes[:2])
+    window_scale = hostspeed.scale(*probes[-2:])
+    walls = [wall * window_scale for wall in walls]
     window = range(first, total)
     if error is not None:
         # Charge the interpreter tier a correct VM would bail out to.
@@ -244,8 +260,9 @@ def run_program(name, seed, ref, steady, timer, tracer, bailouts):
     return {
         "program": name,
         "vm_seed": vm_seed(seed, name),
-        "setup_s": setup,
+        "setup_s": setup * setup_scale,
         "walls_s": walls,
+        "scale": window_scale,
         "cycles": cycles,
         "compilations": engine.compilation_count,
         "code_bytes": engine.code_cache.total_size,
@@ -314,14 +331,12 @@ def program_cycles(row, steady):
 def suite_metrics(passes, steady):
     """End-to-end metrics over *passes*, with the per-program rows.
 
-    ``setup_s`` is the median over passes; every other timing is the
-    minimum over passes, taken per program and per compilation. The
-    work of a pass is deterministic (cycles, code bytes and compile
-    counts repeat bit for bit), so host noise can only add time to it.
-    On a shared 2-core container the speed drifted by up to a fifth
-    over tens of seconds; the minimum is the statistic that drift
-    moved least (medians over passes spread about twice as wide
-    between runs).
+    Set-up and iteration wall times are scaled to the nominal host
+    (:mod:`hostspeed`). ``setup_s`` is the median over passes; every
+    other timing is the minimum over passes, taken per program and per
+    compilation. The work of a pass is deterministic (cycles, code
+    bytes and compile counts repeat bit for bit), so host noise can
+    only add time to it.
     """
     per_program = {}
     for one in passes:
@@ -364,6 +379,8 @@ def suite_metrics(passes, steady):
         "compile_samples": sum(len(one["compile_samples"])
                                for one in passes),
         "passes": len(passes),
+        "host_scale": statistics.median(
+            r["scale"] for one in passes for r in one["rows"]),
     }
 
 
@@ -434,15 +451,18 @@ def build_service(tenants, seed):
 
 def serve_session(tenants, seed, schedule, refs, tracer):
     """Set up ``SERVE_SETUPS`` times, keep the last service, and feed
-    it *schedule* open-loop from this thread."""
+    it *schedule* open-loop from this thread. Set-up and request
+    latencies are scaled to the nominal host (:mod:`hostspeed`)."""
     setups = []
     timer = CompileTimer()
     with timer, (tracer.installed() if tracer else nullcontext()):
         for attempt in range(SERVE_SETUPS):
             gc.collect()
+            before = hostspeed.probe()
             start = time.perf_counter()
             service = build_service(tenants, seed)
-            setups.append(time.perf_counter() - start)
+            wall = time.perf_counter() - start
+            setups.append(wall * hostspeed.scale(before, hostspeed.probe()))
             if attempt + 1 < SERVE_SETUPS:
                 service.shutdown()
         engines = [service.tenants[name].engine for name in tenants]
@@ -450,9 +470,21 @@ def serve_session(tenants, seed, schedule, refs, tracer):
         requests = []
         if tracer is not None:
             tracer.phase = "measure"
+        # One calibration run before a request, when the gap before it
+        # is long enough not to delay it and the compile worker is idle
+        # (so the probe measures the host, not waits for the lock); a
+        # request is scaled by the probes nearest to it.
+        scheduler = service.scheduler
+        probes, probed_at = [], []
         origin = time.perf_counter()
-        for due, index in schedule:
+        for position, (due, index) in enumerate(schedule):
             now = time.perf_counter() - origin
+            if (due - now > SERVE_PROBE_SLACK_S
+                    and scheduler.submitted == scheduler.completed
+                    + scheduler.failed + scheduler.cancelled):
+                probes.append(hostspeed.probe(1))
+                probed_at.append(position)
+                now = time.perf_counter() - origin
             if now < due:
                 time.sleep(due - now)
             begin = time.perf_counter() - origin
@@ -467,6 +499,14 @@ def serve_session(tenants, seed, schedule, refs, tracer):
                 "cycles": result.total_cycles if result else None,
                 "error": error,
             })
+        probes.append(hostspeed.probe(1))
+        probed_at.append(len(schedule))
+        for position, request in enumerate(requests):
+            after = bisect.bisect_right(probed_at, position)
+            request["scale"] = hostspeed.scale(
+                *probes[max(0, after - SERVE_PROBE_SPAN):
+                        after + SERVE_PROBE_SPAN])
+            request["latency_ms"] *= request["scale"]
         for engine in engines:
             engine.drain_compiles(timeout=30.0)
     scheduler = service.scheduler
@@ -501,23 +541,15 @@ def latency_window(requests):
 def serve_metrics(sessions, tenants):
     """End-to-end metrics over one or more sessions of one schedule.
 
-    As in the suite workloads, ``setup_s`` is a median and the other
-    timings are minimums over repeats: over sessions for compilation,
-    and over blocks of the latency window for ``latency_ms`` — each
-    block of ``SERVE_BLOCK`` requests carries the exact traffic mix,
-    so its median latency repeats the same measurement at a different
-    moment of the host's speed drift. ``ok_ratio`` covers the latency
-    window; crashes anywhere count in ``failed``.
+    Latencies and set-up times are nominal-host times. ``setup_s``
+    is the median set-up, ``latency_ms`` the median latency over the
+    latency windows of all sessions, and compile times the minimum
+    over sessions. ``ok_ratio`` covers the latency windows; crashes
+    anywhere count in ``failed``.
     """
     requests = [r for one in sessions for r in one["requests"]]
-    windows = [latency_window(one["requests"]) for one in sessions]
-    window = [r for one in windows for r in one]
+    window = [r for one in sessions for r in latency_window(one["requests"])]
     latencies = [r["latency_ms"] for r in window]
-    blocks = [
-        [r["latency_ms"] for r in one[at:at + SERVE_BLOCK]]
-        for one in windows
-        for at in range(0, len(one) - SERVE_BLOCK + 1, SERVE_BLOCK)
-    ] or [latencies]
     ok = sum(1 for r in window
              if r["error"] is None and r["latency_ms"] <= SERVE_LIMIT_MS)
     cycles = []
@@ -530,7 +562,7 @@ def serve_metrics(sessions, tenants):
     metrics = {
         "setup_s": statistics.median(
             t for one in sessions for t in one["setups"]),
-        "latency_ms": min(statistics.median(b) for b in blocks),
+        "latency_ms": statistics.median(latencies),
         "compile_s": min(sum(one) for one in samples),
         "compile_p95_ms": min(percentile(one, 95) for one in samples)
         * 1000.0,
@@ -551,5 +583,6 @@ def serve_metrics(sessions, tenants):
         "gen_lag_p50_ms": statistics.median(r["lag_ms"] for r in window),
         "gen_lag_p95_ms": percentile([r["lag_ms"] for r in window], 95),
         "compile_samples": sum(len(one) for one in samples),
+        "host_scale": statistics.median(r["scale"] for r in window),
     }
     return metrics, detail
