@@ -17,18 +17,13 @@ penalty ψ(n) = p1·S_irn(n) + p2·S_b(n) − b1·max(0, b2 − N_c(n)²).
 Recursive callsites additionally pay ψ_r (Eq. 14) on their intrinsic
 priority, which leaves shallow recursion untouched and suppresses deep
 recursion exponentially.
+
+The module functions are the specification; the expansion phase
+evaluates them through :class:`PriorityCache`, which must agree with
+them bit for bit.
 """
 
-import os
-
 from repro.core.calltree import NodeKind
-
-#: When "off", expansion uses the uncached module functions — the A/B
-#: baseline for the memoized :class:`PriorityCache` (results are
-#: bit-identical either way; only wall time differs).
-CACHE_ENABLED = (
-    os.environ.get("REPRO_PRIORITY_CACHE", "").strip().lower() != "off"
-)
 
 
 def local_benefit(node):
@@ -205,35 +200,3 @@ class PriorityCache:
         memo[node] = value
         return value
 
-
-class NullPriorityCache:
-    """The uncached reference: every call recomputes via the module
-    functions (the pre-cache behavior, selectable with
-    ``REPRO_PRIORITY_CACHE=off``)."""
-
-    __slots__ = ("params",)
-
-    def __init__(self, params):
-        self.params = params
-
-    def invalidate(self):
-        pass
-
-    def ir_size(self, node):
-        return node.ir_size()
-
-    def s_irn(self, node):
-        return node.s_irn()
-
-    def intrinsic_priority(self, node):
-        return intrinsic_priority(node, self.params)
-
-    def priority(self, node):
-        return priority(node, self.params)
-
-
-def make_priority_cache(params):
-    """A fresh cache honoring the runtime ``CACHE_ENABLED`` toggle."""
-    if CACHE_ENABLED:
-        return PriorityCache(params)
-    return NullPriorityCache(params)

@@ -20,8 +20,6 @@ Two executors are available, selected per interpreter:
   dispatch loop. Bit-identical to classic by contract.
 """
 
-import os
-
 from repro.bytecode.opcodes import Op
 from repro.bytecode import types as bt
 from repro.interp.predecode import (
@@ -58,8 +56,8 @@ class Interpreter:
             interpreted calls are counted (``interp.calls``).
         predecode: selects the executor. ``True`` uses the pre-decoded
             handler-table tier, ``False`` the classic loop; ``None``
-            (default) consults the ``REPRO_INTERP`` environment
-            variable (``predecode`` enables the fast tier).
+            (default) resolves the ``interp_predecode`` knob of
+            :data:`repro.jit.config.KNOBS` (``REPRO_INTERP``).
     """
 
     def __init__(self, vm, profiles=None, dispatch=None, obs=None,
@@ -70,12 +68,10 @@ class Interpreter:
         self.program = vm.program
         self.profiles = profiles if profiles is not None else ProfileStore()
         self.dispatch = dispatch if dispatch is not None else self.execute
-        if predecode is None:
-            predecode = (
-                os.environ.get("REPRO_INTERP", "").strip().lower()
-                == "predecode"
-            )
-        self.predecode = bool(predecode)
+        # Imported here: repro.jit imports this module.
+        from repro.jit.config import resolve
+
+        self.predecode = resolve("interp_predecode", predecode)
         self.ops_executed = 0
         self.max_depth = 0
         self._depth = 0

@@ -12,19 +12,9 @@ operations the inliner is built from:
   and returns to a merge.
 """
 
-import os
-
 from repro.ir import nodes as n
 from repro.ir import stamps as st
 from repro.errors import IRError
-
-#: Executor toggle for :meth:`Graph.copy`. The slot-based fast path is
-#: the default; setting ``REPRO_GRAPH_COPY=reference`` re-enables the
-#: constructor-based reference implementation (kept for differential
-#: testing — the two must produce structurally identical clones).
-FAST_COPY = (
-    os.environ.get("REPRO_GRAPH_COPY", "").strip().lower() != "reference"
-)
 
 
 class Block:
@@ -219,25 +209,12 @@ class Graph:
     def copy(self):
         """Deep-copy this graph. Returns ``(copy, node_map)``.
 
-        Two implementations exist: the constructor-based reference copy
-        and a slot-based fast path that skips node constructors (and
-        with them stamp recomputation and incremental use-list upkeep).
-        Both produce structurally identical clones — same node ids,
-        block ids, stamps, frequencies and invoke metadata — which
-        ``tests/test_ir_graph_copy.py`` checks differentially. The
-        ``REPRO_GRAPH_COPY=reference`` environment knob pins the
-        reference implementation.
-        """
-        if FAST_COPY:
-            return self._copy_fast()
-        return self._copy_reference()
-
-    def _copy_fast(self):
-        """Slot-based deep copy: no constructors, no re-verification.
-
-        Mirrors the reference copy's numbering exactly: params first,
-        then per block phis → instrs → terminator, with block ids
-        renumbered sequentially.
+        Slot-based: skips node constructors (and with them stamp
+        recomputation and incremental use-list upkeep). Numbering
+        matches :meth:`_copy_reference` exactly — params first, then
+        per block phis → instrs → terminator, with block ids renumbered
+        sequentially — which ``tests/test_ir_graph_copy.py`` checks
+        differentially.
         """
         clone = Graph(self.method, self.name)
         node_map = {}
@@ -264,7 +241,7 @@ class Graph:
         # blocks *after* the split continuation block, so a node may
         # reference an input whose block comes later in the list; such
         # nodes get their inputs wired in the second pass.
-        scalar_slots = _FAST_COPY_SLOTS
+        scalar_slots = _COPY_SLOTS
         deferred = []
         for block in self.blocks:
             new_block = block_map[block]
@@ -372,7 +349,8 @@ class Graph:
         return clone, node_map
 
     def _copy_reference(self):
-        """The constructor-based reference copy implementation."""
+        """The constructor-based reference copy: the test oracle that
+        :meth:`copy` must match node for node."""
         clone = Graph(self.method, self.name)
         node_map = {}
         block_map = {}
@@ -550,9 +528,9 @@ class Graph:
         )
 
 
-#: Per-class scalar slots the fast copy transfers verbatim (inputs,
+#: Per-class scalar slots :meth:`Graph.copy` transfers verbatim (inputs,
 #: stamp, uses and InvokeNode.receiver_types are handled separately).
-_FAST_COPY_SLOTS = {
+_COPY_SLOTS = {
     n.ConstIntNode: ("value",),
     n.ConstNullNode: (),
     n.BinOpNode: ("op",),

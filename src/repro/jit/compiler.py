@@ -18,6 +18,7 @@ pipeline, and the inliner's decision trace bridged in as
 
 from repro.backend.lowering import lower_graph
 from repro.backend.pycodegen import PyCodegenBailout, generate as generate_py
+from repro.core.trials import TrialMemo
 from repro.errors import CompileError
 from repro.ir.builder import build_graph
 from repro.ir.frequency import annotate_frequencies
@@ -34,9 +35,9 @@ class CompileContext:
         self.profiles = profiles
         self.pipeline = pipeline
         self.cost_model = cost_model
-        #: Optional :class:`~repro.core.trials.TrialMemo`; attached by
-        #: the JIT driver when ``JitConfig.enable_trial_memo`` is set
-        #: and reset at the start of every compilation.
+        #: Optional :class:`~repro.core.trials.TrialMemo`; the JIT
+        #: driver always attaches one and resets it at the start of
+        #: every compilation.
         self.trial_memo = None
         #: Optional :class:`~repro.deopt.SpeculationPolicy`; when set
         #: and enabled, graphs are built with frame-state capture and
@@ -137,14 +138,9 @@ class JitCompiler:
             else SpeculationLog(),
             typecheck=config.typespec_enabled(),
         )
-        if config.enable_trial_memo:
-            from repro.core.trials import TrialMemo
-
-            self.context.trial_memo = TrialMemo(
-                context_sensitive=getattr(
-                    profiles, "context_sensitive", False
-                )
-            )
+        self.context.trial_memo = TrialMemo(
+            context_sensitive=getattr(profiles, "context_sensitive", False)
+        )
         self.records = []
         if self.obs.enabled and inliner is not None:
             # Bridge inlining decisions into the event stream: give a

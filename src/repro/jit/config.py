@@ -1,14 +1,67 @@
-"""VM-level configuration."""
+"""VM-level configuration and the table of environment pins."""
 
 import os
+from collections import namedtuple
 
 from repro.backend.costmodel import CostModel
 from repro.backend.icache import ICacheModel
 from repro.opts.pipeline import OptimizerConfig
 
+#: One environment pin over a two-valued :class:`JitConfig` field.
+#: ``default`` is the reference value, ``alternative`` the other one.
+#: An explicit (non-``None``) config value wins, except that the env
+#: var set to ``hard`` pins ``default`` over anything; with the field
+#: left ``None``, an env value in ``soft`` selects ``alternative``.
+#: ``needs_compile`` knobs are ``default`` on a pure interpreter
+#: (``compile_enabled=False``). docs/performance.md renders this table.
+Knob = namedtuple(
+    "Knob", "field env hard soft default alternative needs_compile"
+)
+
+_ON = ("on", "1", "true")
+
+KNOBS = {
+    knob.field: knob
+    for knob in (
+        Knob("interp_predecode", "REPRO_INTERP", None, ("predecode",),
+             False, True, False),
+        Knob("speculate", "REPRO_SPECULATE", "off", _ON, False, True, False),
+        Knob("typespec", "REPRO_TYPESPEC", "off", _ON, False, True, False),
+        Knob("osr", "REPRO_OSR", "off", _ON, False, True, True),
+        Knob("backend", "REPRO_BACKEND", "machine", ("py",),
+             "machine", "py", False),
+        Knob("compile_mode", "REPRO_COMPILE", "sync", ("async",),
+             "sync", "async", True),
+    )
+}
+
+
+def resolve(field, value=None, compile_enabled=True):
+    """The value knob *field* takes for config value *value* under the
+    current environment (see :data:`KNOBS`)."""
+    knob = KNOBS[field]
+    if knob.needs_compile and not compile_enabled:
+        return knob.default
+    env = os.environ.get(knob.env, "").strip().lower()
+    if env == knob.hard:
+        return knob.default
+    if value is None:
+        return knob.alternative if env in knob.soft else knob.default
+    if isinstance(knob.default, bool):
+        return bool(value)
+    if str(value).strip().lower() == knob.alternative:
+        return knob.alternative
+    return knob.default
+
 
 class JitConfig:
     """Configuration for one VM instance.
+
+    The six pinnable fields (``interp_predecode``, ``speculate``,
+    ``typespec``, ``osr``, ``backend``, ``compile_mode``) default to
+    ``None``, which defers to their ``REPRO_*`` environment variable;
+    :data:`KNOBS` lists each one's hard and soft env values and
+    :meth:`resolved` applies them.
 
     Attributes:
         hot_threshold: profile hotness (invocations + backedge/8) at
@@ -26,23 +79,12 @@ class JitConfig:
         interp_predecode: selects the interpreter executor. ``True``
             uses the pre-decoded handler-table tier
             (:mod:`repro.interp.predecode`), ``False`` the classic
-            reference loop, ``None`` defers to the ``REPRO_INTERP``
-            environment knob. Semantics are bit-identical either way;
+            reference loop. Semantics are bit-identical either way;
             only host wall-clock changes.
-        enable_trial_memo: memoize inlining-trial results per
-            compilation, keyed by (method, caller context, argument
-            stamp signature), so repeated identical specializations of
-            the same callee are cloned instead of re-built and
-            re-simplified. Deterministically result-identical; exposed
-            as a flag so differential configs can pin it off.
         speculate: speculative devirtualization with deoptimization.
             ``True`` lets the inliner replace well-predicted virtual
             fallbacks with guard/deopt (:mod:`repro.deopt`); ``False``
-            keeps the conservative typeswitch; ``None`` (default)
-            defers to the ``REPRO_SPECULATE`` environment knob.
-            ``REPRO_SPECULATE=off`` is a hard pin that overrides even
-            an explicit ``True``, so differential harnesses can force
-            the non-speculative configuration from the outside.
+            keeps the conservative typeswitch.
         speculation_min_coverage: minimum receiver-profile coverage
             (summed target probabilities) to drop the fallback.
         speculation_max_targets: speculate only through mono/bimorphic
@@ -58,18 +100,12 @@ class JitConfig:
             refuted guards deopt through the same frame-state path as
             speculative devirtualization. Requires speculation to be
             on (frame capture); ``False`` keeps every type check as a
-            runtime test; ``None`` (default) defers to the
-            ``REPRO_TYPESPEC`` environment knob. ``REPRO_TYPESPEC=off``
-            is a hard pin that overrides even an explicit ``True``,
-            mirroring ``REPRO_SPECULATE``.
+            runtime test.
         osr: on-stack replacement at loop backedges. ``True`` lets the
             interpreter transfer a running frame into compiled code
             when a backedge counter crosses ``osr_threshold``;
             ``False`` keeps frames in the interpreter until the next
-            dispatch; ``None`` (default) defers to the ``REPRO_OSR``
-            environment knob. ``REPRO_OSR=off`` is a hard pin that
-            overrides even an explicit ``True``, mirroring
-            ``REPRO_SPECULATE``.
+            dispatch.
         osr_threshold: taken-backedge count at a single branch pc at
             which the interpreter requests an OSR compilation for that
             ``(method, backedge bci)`` pair. Independent of
@@ -87,11 +123,6 @@ class JitConfig:
             request on a background compile pipeline
             (:mod:`repro.serve.scheduler`) and keeps interpreting until
             the code installs — the paper's *online* setting made real.
-            ``None`` (default) defers to the ``REPRO_COMPILE``
-            environment knob, which defaults to sync.
-            ``REPRO_COMPILE=sync`` is a hard pin that overrides even an
-            explicit ``"async"``, so differential harnesses can force
-            the deterministic fallback from the outside.
         backend: which executor runs compiled roots. ``"machine"`` is
             the deterministic cycle-model register machine
             (:mod:`repro.backend.machine`) — the differential oracle.
@@ -99,12 +130,7 @@ class JitConfig:
             Python closure (:mod:`repro.backend.pycodegen`) and runs
             that instead; values, trap kinds, printed output, cycles
             and deopt frames are bit-identical by construction, only
-            host wall-clock changes. ``None`` (default) defers to the
-            ``REPRO_BACKEND`` environment knob, which defaults to
-            machine. ``REPRO_BACKEND=machine`` is a hard pin that
-            overrides even an explicit ``backend="py"``, so
-            differential harnesses can force the oracle backend from
-            the outside — mirroring ``REPRO_SPECULATE=off``.
+            host wall-clock changes.
         compile_workers: worker threads of the engine-private
             background pipeline (only used when the engine runs async
             *without* an externally attached compile service — a
@@ -126,7 +152,6 @@ class JitConfig:
         max_compiled_methods=2000,
         context_sensitive_profiles=False,
         interp_predecode=None,
-        enable_trial_memo=True,
         speculate=None,
         speculation_min_coverage=0.95,
         speculation_max_targets=2,
@@ -148,7 +173,6 @@ class JitConfig:
         self.max_compiled_methods = max_compiled_methods
         self.context_sensitive_profiles = context_sensitive_profiles
         self.interp_predecode = interp_predecode
-        self.enable_trial_memo = enable_trial_memo
         self.speculate = speculate
         self.speculation_min_coverage = speculation_min_coverage
         self.speculation_max_targets = speculation_max_targets
@@ -168,93 +192,21 @@ class JitConfig:
             return self.flight_dump
         return os.environ.get("REPRO_FLIGHT_DUMP", "").strip() or None
 
-    def speculation_enabled(self):
-        """Resolve the speculate knob against ``REPRO_SPECULATE``.
+    def resolved(self, field):
+        """The value knob *field* resolves to (see :func:`resolve`)."""
+        return resolve(field, getattr(self, field), self.compile_enabled)
 
-        ``off`` pins speculation off regardless of the config; ``on``
-        (or ``1``/``true``) turns it on when the config leaves the
-        choice open (``speculate=None``).
-        """
-        env = os.environ.get("REPRO_SPECULATE", "").strip().lower()
-        if env == "off":
-            return False
-        if self.speculate is None:
-            return env in ("on", "1", "true")
-        return bool(self.speculate)
+    def speculation_enabled(self):
+        return self.resolved("speculate")
 
     def typespec_enabled(self):
-        """Resolve the type-check-speculation knob against ``REPRO_TYPESPEC``.
-
-        Same contract as :meth:`speculation_enabled`: ``off`` pins
-        type-check speculation off regardless of the config, ``on`` (or
-        ``1``/``true``) turns it on when the config leaves the choice
-        open (``typespec=None``). The builder additionally requires
-        speculation itself to be enabled — type-check guards need the
-        same frame-state capture.
-        """
-        env = os.environ.get("REPRO_TYPESPEC", "").strip().lower()
-        if env == "off":
-            return False
-        if self.typespec is None:
-            return env in ("on", "1", "true")
-        return bool(self.typespec)
-
-    def backend_resolved(self):
-        """Resolve the backend knob against ``REPRO_BACKEND``.
-
-        Returns ``"machine"`` or ``"py"``. ``REPRO_BACKEND=machine`` is
-        a hard pin back to the oracle backend that overrides even an
-        explicit ``backend="py"``; ``REPRO_BACKEND=py`` turns the
-        Python tier on when the config leaves the choice open
-        (``backend=None``).
-        """
-        env = os.environ.get("REPRO_BACKEND", "").strip().lower()
-        if env == "machine":
-            return "machine"
-        if self.backend is None:
-            return "py" if env == "py" else "machine"
-        return (
-            "py"
-            if str(self.backend).strip().lower() == "py"
-            else "machine"
-        )
-
-    def compile_mode_resolved(self):
-        """Resolve the compile mode against ``REPRO_COMPILE``.
-
-        Returns ``"sync"`` or ``"async"``. ``REPRO_COMPILE=sync`` is a
-        hard pin (the deterministic fallback) that overrides even an
-        explicit ``compile_mode="async"``; ``REPRO_COMPILE=async``
-        turns background compilation on when the config leaves the
-        choice open (``compile_mode=None``). Pure interpreters
-        (``compile_enabled=False``) are always sync — there is nothing
-        to enqueue.
-        """
-        if not self.compile_enabled:
-            return "sync"
-        env = os.environ.get("REPRO_COMPILE", "").strip().lower()
-        if env == "sync":
-            return "sync"
-        if self.compile_mode is None:
-            return "async" if env == "async" else "sync"
-        return (
-            "async"
-            if str(self.compile_mode).strip().lower() == "async"
-            else "sync"
-        )
+        return self.resolved("typespec")
 
     def osr_enabled(self):
-        """Resolve the OSR knob against ``REPRO_OSR``.
+        return self.resolved("osr")
 
-        Same contract as :meth:`speculation_enabled`: ``off`` pins OSR
-        off regardless of the config, ``on`` (or ``1``/``true``) turns
-        it on when the config leaves the choice open (``osr=None``).
-        """
-        if not self.compile_enabled:
-            return False
-        env = os.environ.get("REPRO_OSR", "").strip().lower()
-        if env == "off":
-            return False
-        if self.osr is None:
-            return env in ("on", "1", "true")
-        return bool(self.osr)
+    def backend_resolved(self):
+        return self.resolved("backend")
+
+    def compile_mode_resolved(self):
+        return self.resolved("compile_mode")

@@ -92,7 +92,9 @@ def _canonical_shape(loop):
 
 def _peel(graph, loop):
     header = loop.header
-    body = sorted(loop.blocks, key=lambda b: b.id)
+    # Dominance order, so every def is mapped before its in-loop uses
+    # are copied (block ids are not dominance-ordered after inlining).
+    body = [b for b in graph.reverse_postorder() if b in loop.blocks]
     entry_index = next(
         i for i, p in enumerate(header.preds) if p not in loop.blocks
     )

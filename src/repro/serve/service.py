@@ -25,7 +25,7 @@ import threading
 import time
 
 from repro.jit.codecache import SharedCodeCache
-from repro.jit.config import JitConfig
+from repro.jit.config import JitConfig, resolve
 from repro.jit.engine import Engine
 from repro.obs import NULL_OBS
 from repro.serve.admission import AdmissionController, ServiceConfig
@@ -103,9 +103,7 @@ class VMService:
             obs=self.obs,
         )
         #: "sync" | "async", resolved once (REPRO_COMPILE=sync pins).
-        self.mode = JitConfig(
-            compile_mode=self.config.compile_mode
-        ).compile_mode_resolved()
+        self.mode = resolve("compile_mode", self.config.compile_mode)
         self.scheduler = (
             BackgroundCompiler(
                 workers=self.config.compile_workers,

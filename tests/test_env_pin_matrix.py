@@ -1,33 +1,30 @@
 """Composability of the environment pins.
 
-``REPRO_SPECULATE=off``, ``REPRO_PRIORITY_CACHE=off``,
-``REPRO_GRAPH_COPY=reference``, ``REPRO_OSR=off``,
-``REPRO_BACKEND=machine`` and ``REPRO_TYPESPEC=off`` each pin one
-engineering fast path back to its reference behaviour; every exercised
-combination must be bit-identical on a pinned workload (same values,
-same program output). The priority-cache and graph-copy pins are read
-at module import time, so every combination runs in a fresh subprocess.
+``REPRO_SPECULATE=off``, ``REPRO_OSR=off``, ``REPRO_BACKEND=machine``
+and ``REPRO_TYPESPEC=off`` each pin one feature back to its reference
+behaviour; every exercised combination must be bit-identical on a
+pinned workload (same values, same program output). Every pin is read
+when an engine is built (:data:`repro.jit.config.KNOBS`), so each
+combination runs in-process under ``monkeypatch.setenv``.
 
-The first four pins run as the full sixteen-combination cross-product.
-The backend and typespec pins are *sampled* on top (the py tier is
-bit-identical by construction, cycles included; the typespec pin's
-observable contract is exactly the speculation pin's), keeping the
-subprocess count bounded instead of quadrupling to 64.
+The speculation and OSR pins run as the full four-combination
+cross-product. The backend and typespec pins are *sampled* on top (the
+py tier is bit-identical by construction, cycles included; the typespec
+pin's observable contract is exactly the speculation pin's).
 """
 
 import itertools
-import json
-import os
-import subprocess
-import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from repro.baselines import tuned_inliner
+from repro.jit.config import JitConfig
+from repro.jit.engine import Engine
+from tests.helpers import shapes_program
+from tests.test_deopt import flip_program
+from tests.test_typespec import classify_program
 
 #: (env var, pinned value) — bit i of a combination sets PINS[i].
 PINS = [
     ("REPRO_SPECULATE", "off"),
-    ("REPRO_PRIORITY_CACHE", "off"),
-    ("REPRO_GRAPH_COPY", "reference"),
     ("REPRO_OSR", "off"),
     ("REPRO_BACKEND", "machine"),
     ("REPRO_TYPESPEC", "off"),
@@ -37,10 +34,10 @@ PINS = [
 #: executor: the all-off / all-on corners plus each cycle-relevant pin
 #: alone, so a backend/pin interaction in any cycle group would show.
 BACKEND_PINNED_COMBOS = [
-    (False, False, False, False, True, False),
-    (True, False, False, False, True, False),
-    (False, False, False, True, True, False),
-    (True, True, True, True, True, False),
+    (False, False, True, False),
+    (True, False, True, False),
+    (False, True, True, False),
+    (True, True, True, False),
 ]
 
 #: Sampled combinations with type-check speculation pinned off: alone,
@@ -48,120 +45,101 @@ BACKEND_PINNED_COMBOS = [
 #: double-off corner must not diverge), and the everything-pinned
 #: corner.
 TYPESPEC_PINNED_COMBOS = [
-    (False, False, False, False, False, True),
-    (True, False, False, False, False, True),
-    (True, True, True, True, True, True),
+    (False, False, False, True),
+    (True, False, False, True),
+    (True, True, True, True),
 ]
 
-# The pinned workload, two parts:
-#
-# 1. The receiver-flip driver from the deopt tests: ten monomorphic
-#    warmup iterations compile (and, unless pinned off, speculate in)
-#    the driver, then alternating receivers refute the guard — so the
-#    speculation pin changes real compiled-code paths, not just flags.
-#
-# 2. The shapes benchmark's 120-iteration loop on a second engine whose
-#    dispatch threshold is unreachable: the *only* route into compiled
-#    code is an OSR transfer at the loop backedge, so the OSR pin also
-#    changes real compiled-code paths (loop finishes in the OSR
-#    continuation vs. stays interpreted).
-#
-# 3. The classify driver from the typespec tests on a third engine:
-#    monomorphic warmup lets the compiler guard the instanceof on the
-#    profiled exact type, then alternating operand types refute it —
-#    so the typespec pin changes real compiled-code paths too.
-CHILD = r"""
-import json
 
-from repro.baselines import tuned_inliner
-from repro.jit.config import JitConfig
-from repro.jit.engine import Engine
-from tests.test_deopt import flip_program
-from tests.helpers import shapes_program
+def _workload():
+    """The pinned workload, three parts.
 
-program = flip_program()
-engine = Engine(
-    program,
-    JitConfig(hot_threshold=4, speculate=True, backend="py"),
-    tuned_inliner(1.0),
-)
-values, cycles = [], []
-for i in range(16):
-    kind = i % 2 if i >= 10 else 0
-    result = engine.run_iteration("Main", "drive", [kind])
-    values.append(result.value)
-    cycles.append(result.total_cycles)
+    1. The receiver-flip driver from the deopt tests: ten monomorphic
+       warmup iterations compile (and, unless pinned off, speculate in)
+       the driver, then alternating receivers refute the guard — so the
+       speculation pin changes real compiled-code paths, not just flags.
 
-osr_engine = Engine(
-    shapes_program(),
-    JitConfig(hot_threshold=10**9, osr=True, osr_threshold=30,
-              backend="py"),
-    tuned_inliner(1.0),
-)
-osr_values, osr_cycles = [], []
-for _ in range(2):
-    result = osr_engine.run_iteration("Main", "run")
-    osr_values.append(result.value)
-    osr_cycles.append(result.total_cycles)
+    2. The shapes benchmark's 120-iteration loop on a second engine
+       whose dispatch threshold is unreachable: the *only* route into
+       compiled code is an OSR transfer at the loop backedge, so the
+       OSR pin also changes real compiled-code paths (loop finishes in
+       the OSR continuation vs. stays interpreted).
 
-from tests.test_typespec import classify_program
-
-ts_engine = Engine(
-    classify_program(),
-    JitConfig(hot_threshold=4, speculate=True, typespec=True,
-              backend="py"),
-    tuned_inliner(1.0),
-)
-ts_values, ts_cycles = [], []
-for i in range(16):
-    kind = i % 2 if i >= 10 else 0
-    result = ts_engine.run_iteration("Main", "drive", [kind])
-    ts_values.append(result.value)
-    ts_cycles.append(result.total_cycles)
-
-print(json.dumps({
-    "values": values,
-    "cycles": cycles,
-    "output": list(engine.vm.output),
-    "deopts": engine.deopt_count,
-    "osr_values": osr_values,
-    "osr_cycles": osr_cycles,
-    "osr_output": list(osr_engine.vm.output),
-    "osr_entries": osr_engine.osr_entry_count,
-    "ts_values": ts_values,
-    "ts_cycles": ts_cycles,
-    "ts_output": list(ts_engine.vm.output),
-    "ts_deopts": ts_engine.deopt_count,
-    "py_execs": engine.py_exec_count + osr_engine.py_exec_count
-    + ts_engine.py_exec_count,
-}))
-"""
-
-
-def _run_combo(bits):
-    env = dict(os.environ)
-    for (name, value), bit in zip(PINS, bits):
-        env.pop(name, None)
-        if bit:
-            env[name] = value
-    env["PYTHONPATH"] = os.path.join(ROOT, "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD],
-        env=env,
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
+    3. The classify driver from the typespec tests on a third engine:
+       monomorphic warmup lets the compiler guard the instanceof on the
+       profiled exact type, then alternating operand types refute it —
+       so the typespec pin changes real compiled-code paths too.
+    """
+    engine = Engine(
+        flip_program(),
+        JitConfig(hot_threshold=4, speculate=True, backend="py"),
+        tuned_inliner(1.0),
     )
-    assert proc.returncode == 0, "combo %r failed:\n%s" % (bits, proc.stderr)
-    return json.loads(proc.stdout)
+    values, cycles = [], []
+    for i in range(16):
+        kind = i % 2 if i >= 10 else 0
+        result = engine.run_iteration("Main", "drive", [kind])
+        values.append(result.value)
+        cycles.append(result.total_cycles)
+
+    osr_engine = Engine(
+        shapes_program(),
+        JitConfig(hot_threshold=10**9, osr=True, osr_threshold=30,
+                  backend="py"),
+        tuned_inliner(1.0),
+    )
+    osr_values, osr_cycles = [], []
+    for _ in range(2):
+        result = osr_engine.run_iteration("Main", "run")
+        osr_values.append(result.value)
+        osr_cycles.append(result.total_cycles)
+
+    ts_engine = Engine(
+        classify_program(),
+        JitConfig(hot_threshold=4, speculate=True, typespec=True,
+                  backend="py"),
+        tuned_inliner(1.0),
+    )
+    ts_values, ts_cycles = [], []
+    for i in range(16):
+        kind = i % 2 if i >= 10 else 0
+        result = ts_engine.run_iteration("Main", "drive", [kind])
+        ts_values.append(result.value)
+        ts_cycles.append(result.total_cycles)
+
+    return {
+        "values": values,
+        "cycles": cycles,
+        "output": list(engine.vm.output),
+        "deopts": engine.deopt_count,
+        "osr_values": osr_values,
+        "osr_cycles": osr_cycles,
+        "osr_output": list(osr_engine.vm.output),
+        "osr_entries": osr_engine.osr_entry_count,
+        "ts_values": ts_values,
+        "ts_cycles": ts_cycles,
+        "ts_output": list(ts_engine.vm.output),
+        "ts_deopts": ts_engine.deopt_count,
+        "py_execs": engine.py_exec_count + osr_engine.py_exec_count
+        + ts_engine.py_exec_count,
+    }
 
 
-def test_env_pin_matrix_bit_identical():
+def _run_combo(monkeypatch, bits):
+    for (name, value), bit in zip(PINS, bits):
+        if bit:
+            monkeypatch.setenv(name, value)
+        else:
+            monkeypatch.delenv(name, raising=False)
+    return _workload()
+
+
+def test_env_pin_matrix_bit_identical(monkeypatch):
     combos = [
         bits + (False, False)
         for bits in itertools.product((False, True), repeat=len(PINS) - 2)
     ] + BACKEND_PINNED_COMBOS + TYPESPEC_PINNED_COMBOS
-    results = {bits: _run_combo(bits) for bits in combos}
+    results = {bits: _run_combo(monkeypatch, bits) for bits in combos}
     baseline = results[(False,) * len(PINS)]
 
     # Observables are bit-identical across all exercised combinations.
@@ -174,10 +152,10 @@ def test_env_pin_matrix_bit_identical():
         assert result["ts_output"] == baseline["ts_output"], bits
 
     # The cycle model may legitimately differ between speculative and
-    # pinned-off runs (different compiled code), but the cache, copy
-    # and backend pins are pure engineering knobs: within each
-    # speculation setting the flip-driver cycles of every combination
-    # (backend-pinned ones included) agree exactly.
+    # pinned-off runs (different compiled code), but the backend pin is
+    # a pure engineering knob: within each speculation setting the
+    # flip-driver cycles of every combination (backend-pinned ones
+    # included) agree exactly.
     for spec_off in (False, True):
         group = [
             result["cycles"]
@@ -193,7 +171,7 @@ def test_env_pin_matrix_bit_identical():
         group = [
             result["osr_cycles"]
             for bits, result in results.items()
-            if bits[3] == osr_off
+            if bits[1] == osr_off
         ]
         assert all(cycles == group[0] for cycles in group), osr_off
 
@@ -205,7 +183,7 @@ def test_env_pin_matrix_bit_identical():
         group = [
             result["ts_cycles"]
             for bits, result in results.items()
-            if (bits[0] or bits[5]) == ts_off
+            if (bits[0] or bits[3]) == ts_off
         ]
         assert all(cycles == group[0] for cycles in group), ts_off
 
@@ -218,12 +196,10 @@ def test_env_pin_matrix_bit_identical():
     assert baseline["osr_entries"] >= 1
     assert baseline["ts_deopts"] >= 1
     assert baseline["py_execs"] > 0
-    assert results[(True,) + (False,) * 5]["deopts"] == 0
-    assert results[(False, False, False, True, False, False)][
-        "osr_entries"
-    ] == 0
+    assert results[(True, False, False, False)]["deopts"] == 0
+    assert results[(False, True, False, False)]["osr_entries"] == 0
     for bits in BACKEND_PINNED_COMBOS:
         assert results[bits]["py_execs"] == 0, bits
     for bits in results:
-        if bits[0] or bits[5]:
+        if bits[0] or bits[3]:
             assert results[bits]["ts_deopts"] == 0, bits

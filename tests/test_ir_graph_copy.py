@@ -1,7 +1,7 @@
 """Differential and invariant tests for ``Graph.copy``.
 
-Two copy implementations coexist: the constructor-based reference copy
-and the slot-based fast path (the default). Their contract is
+``Graph.copy`` is the slot-based fast path; ``Graph._copy_reference``
+is the constructor-based copy it is checked against. Their contract is
 structural identity — same node ids, classes, inputs, stamps, use
 lists, block ids, frequencies, predecessor order and invoke metadata —
 checked here by fingerprinting both clones of the same graph. The
@@ -102,7 +102,7 @@ def _graph_for(name):
 @pytest.mark.parametrize("name", GRAPHS)
 def test_fast_copy_matches_reference(name):
     graph = _graph_for(name)
-    fast, fast_map = graph._copy_fast()
+    fast, fast_map = graph.copy()
     reference, ref_map = graph._copy_reference()
     assert _fingerprint(fast) == _fingerprint(reference)
     # And both match the numbering contract against the source.
@@ -137,7 +137,7 @@ def test_fast_copy_matches_reference_after_inline_and_optimize():
     # Inlined-then-optimized graphs have imported blocks, phis from
     # merges, and split blocks — the shape every real copy sees.
     graph = _inlined_graph(optimize=True)
-    fast, _ = graph._copy_fast()
+    fast, _ = graph.copy()
     reference, _ = graph._copy_reference()
     assert _fingerprint(fast) == _fingerprint(reference)
 
@@ -149,7 +149,7 @@ def test_fast_copy_handles_raw_post_inline_block_order():
     # them via its deferred pass (the reference copy cannot copy this
     # shape; the system only copies after the pipeline normalizes it).
     graph = _inlined_graph(optimize=False)
-    clone, node_map = graph._copy_fast()
+    clone, node_map = graph.copy()
     originals = list(graph.all_nodes())
     assert set(node_map) == set(originals)
     for original in originals:
@@ -239,17 +239,3 @@ def test_copy_ids_do_not_alias_source():
     assert new_block.id == len(graph.blocks)
     assert all(new_block.id != b.id for b in clone.blocks[:-1])
 
-
-def test_env_knob_pins_reference(monkeypatch):
-    import importlib
-
-    import repro.ir.graph as graph_mod
-
-    monkeypatch.setenv("REPRO_GRAPH_COPY", "reference")
-    importlib.reload(graph_mod)
-    try:
-        assert graph_mod.FAST_COPY is False
-    finally:
-        monkeypatch.delenv("REPRO_GRAPH_COPY")
-        importlib.reload(graph_mod)
-        assert graph_mod.FAST_COPY is True

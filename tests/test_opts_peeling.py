@@ -54,6 +54,33 @@ def _poly_loop_program():
     return program
 
 
+def _header_def_program():
+    """The poly loop with a value computed in the header (``t = 3*i``)
+    and read in the body, so the peeled body copy must see the peeled
+    header's definition."""
+    program = _poly_loop_program()
+    holder = program.klass("H")
+    b = MethodBuilder("g", ["int"], "int", is_static=True)
+    loop = b.new_label()
+    done = b.new_label()
+    cur = b.alloc_local()
+    acc = b.alloc_local()
+    i = b.alloc_local()
+    t = b.alloc_local()
+    b.new("A").store(cur)
+    b.const(0).store(acc).const(0).store(i).const(0).store(t)
+    b.place(loop).load(i).const(3).mul().store(t)
+    b.load(i).load(0).ge().if_true(done)
+    b.load(acc).load(cur).invokeinterface("Step", "value").add()
+    b.load(t).add().store(acc)
+    b.load(cur).invokeinterface("Step", "next").store(cur)
+    b.load(i).const(1).add().store(i)
+    b.goto(loop)
+    b.place(done).load(acc).retv()
+    holder.add_method(b.build())
+    return program
+
+
 class TestTrigger:
     def test_ref_phi_with_precise_entry_triggers(self):
         program = _poly_loop_program()
@@ -111,6 +138,20 @@ class TestPeelTransform:
         check_graph(graph, program)
         after_direct = sum(1 for i in graph.invokes() if i.kind == "direct")
         assert after_direct > before_direct
+
+    def test_copy_follows_dominance_not_block_ids(self):
+        # After inlining, block ids need not follow dominance; reverse
+        # them so the loop body's id sorts before its header's. The
+        # header def read by the body must still be copied first.
+        program = _header_def_program()
+        for count in [0, 1, 3]:
+            graph = build_graph(program.lookup_method("H", "g"), program)
+            for block in graph.blocks:
+                block.id = len(graph.blocks) - 1 - block.id
+            check_graph(graph, program)
+            assert peel_loops(graph, program) >= 1
+            check_graph(graph, program)
+            compare_tiers(program, "H", "g", [count], graph=graph)
 
     def test_peeling_bounded(self):
         program = _poly_loop_program()

@@ -34,7 +34,6 @@ def test_measure_pair_checks_semantics():
             compile_enabled=False, interp_predecode=False
         ),
         "inliner": None,
-        "fast_copy": True,
     }
     fast = dict(variant, name="predecode",
                 config=lambda: JitConfig(
@@ -58,8 +57,7 @@ def test_cli_quick_writes_json(tmp_path):
     workloads = payload["workloads"]
     kinds = {w["workload"] for w in workloads}
     assert kinds == {
-        "interpreter-bound", "py-backend", "compile-bound", "mixed",
-        "serve-mixed",
+        "interpreter-bound", "py-backend", "mixed", "serve-mixed",
     }
     for w in workloads:
         assert w["semantics_identical"] is True

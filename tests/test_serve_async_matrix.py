@@ -10,8 +10,8 @@ compile-mode bit: async charges compile cycles to the engine's
 ``background_compile_cycles`` ledger instead of the triggering
 iteration, so per-iteration cycle counts legitimately differ.
 
-The compile-mode pin is read at engine construction, so every
-combination runs in a fresh subprocess (same harness as
+Every pin is read when an engine is built, so each combination runs
+in-process under ``monkeypatch.setenv`` (same harness as
 ``test_env_pin_matrix``).
 
 The workload engines request ``backend="py"`` (the Python-codegen top
@@ -25,12 +25,14 @@ doubling.
 """
 
 import itertools
-import json
-import os
-import subprocess
-import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from repro.baselines import tuned_inliner
+from repro.errors import TrapError
+from repro.jit.config import JitConfig
+from repro.jit.engine import Engine
+from tests.helpers import shapes_program, single_method_program
+from tests.test_deopt import flip_program
+from tests.test_typespec import classify_program
 
 #: (env var, pinned value) — bit i of a combination sets PINS[i].
 PINS = [
@@ -63,37 +65,7 @@ TYPESPEC_PINNED_COMBOS = [
     (False, True, False, False, False, True),
 ]
 
-# The pinned workload, three parts, each stressing a different
-# interaction with the background pipeline:
-#
-# 1. The receiver-flip driver: speculation plus a guaranteed deopt at
-#    iteration 10 — a deopt in async mode also cancels pending requests
-#    for the method, so this exercises the cancellation edge.
-#
-# 2. The shapes loop with an unreachable dispatch threshold: the only
-#    route into compiled code is an OSR transfer, so in async mode the
-#    OSR continuation itself is compiled in the background.
-#
-# 3. A trapping division driven through zero every fourth call: trap
-#    kinds must survive the compiled tier regardless of *when* the
-#    compiled code was installed.
-#
-# 4. The classify driver from the typespec tests: monomorphic warmup
-#    lets the compiler guard the instanceof on the profiled exact type,
-#    then alternating operand types refute it — a type guard refuted in
-#    async mode exercises the same cancellation edge as the receiver
-#    flip.
-CHILD = r"""
-import json
-
-from repro.baselines import tuned_inliner
-from repro.errors import TrapError
-from repro.jit.config import JitConfig
-from repro.jit.engine import Engine
-from tests.test_deopt import flip_program
-from tests.helpers import shapes_program, single_method_program
-
-def observe(engine, cls, name, args):
+def _observe(engine, cls, name, args):
     try:
         return ("value", engine.run_iteration(cls, name, args).value)
     except TrapError as trap:
@@ -103,90 +75,103 @@ def observe(engine, cls, name, args):
         # compiled code is reached deterministically; sync no-op.
         engine.drain_compiles()
 
-flip = Engine(
-    flip_program(),
-    JitConfig(hot_threshold=4, speculate=True, backend="py"),
-    tuned_inliner(1.0),
-)
-flip_outcomes = [
-    observe(flip, "Main", "drive", [i % 2 if i >= 10 else 0])
-    for i in range(16)
-]
 
-osr = Engine(
-    shapes_program(),
-    JitConfig(hot_threshold=10**9, osr=True, osr_threshold=30,
-              backend="py"),
-    tuned_inliner(1.0),
-)
-osr_outcomes = [observe(osr, "Main", "run", []) for _ in range(2)]
+def _workload():
+    """The pinned workload, four parts, each stressing a different
+    interaction with the background pipeline.
 
-trap = Engine(
-    single_method_program(
-        lambda b: b.const(100).load(0).div().retv()
-    ),
-    JitConfig(hot_threshold=3, backend="py"),
-    tuned_inliner(1.0),
-)
-trap_outcomes = [observe(trap, "T", "f", [2 - i % 4]) for i in range(12)]
+    1. The receiver-flip driver: speculation plus a guaranteed deopt at
+       iteration 10 — a deopt in async mode also cancels pending
+       requests for the method, so this exercises the cancellation edge.
 
-from tests.test_typespec import classify_program
+    2. The shapes loop with an unreachable dispatch threshold: the only
+       route into compiled code is an OSR transfer, so in async mode
+       the OSR continuation itself is compiled in the background.
 
-ts = Engine(
-    classify_program(),
-    JitConfig(hot_threshold=4, speculate=True, typespec=True,
-              backend="py"),
-    tuned_inliner(1.0),
-)
-ts_outcomes = [
-    observe(ts, "Main", "drive", [i % 2 if i >= 10 else 0])
-    for i in range(16)
-]
+    3. A trapping division driven through zero every fourth call: trap
+       kinds must survive the compiled tier regardless of *when* the
+       compiled code was installed.
 
-engines = (flip, osr, trap, ts)
-result = {
-    "flip": flip_outcomes,
-    "osr": osr_outcomes,
-    "trap": trap_outcomes,
-    "ts": ts_outcomes,
-    "output": [list(e.vm.output) for e in engines],
-    "deopts": flip.deopt_count,
-    "osr_entries": osr.osr_entry_count,
-    "ts_deopts": ts.deopt_count,
-    "async_installs": sum(e.async_installs for e in engines),
-    "compilations": sum(e.compilation_count for e in engines),
-    "py_execs": sum(e.py_exec_count for e in engines),
-}
-for e in engines:
-    e.shutdown()
-print(json.dumps(result))
-"""
-
-
-def _run_combo(bits):
-    env = dict(os.environ)
-    for (name, value), bit in zip(PINS, bits):
-        env.pop(name, None)
-        if bit:
-            env[name] = value
-    env["PYTHONPATH"] = os.path.join(ROOT, "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD],
-        env=env,
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
+    4. The classify driver from the typespec tests: monomorphic warmup
+       lets the compiler guard the instanceof on the profiled exact
+       type, then alternating operand types refute it — a type guard
+       refuted in async mode exercises the same cancellation edge as
+       the receiver flip.
+    """
+    flip = Engine(
+        flip_program(),
+        JitConfig(hot_threshold=4, speculate=True, backend="py"),
+        tuned_inliner(1.0),
     )
-    assert proc.returncode == 0, "combo %r failed:\n%s" % (bits, proc.stderr)
-    return json.loads(proc.stdout)
+    flip_outcomes = [
+        _observe(flip, "Main", "drive", [i % 2 if i >= 10 else 0])
+        for i in range(16)
+    ]
+
+    osr = Engine(
+        shapes_program(),
+        JitConfig(hot_threshold=10**9, osr=True, osr_threshold=30,
+                  backend="py"),
+        tuned_inliner(1.0),
+    )
+    osr_outcomes = [_observe(osr, "Main", "run", []) for _ in range(2)]
+
+    trap = Engine(
+        single_method_program(
+            lambda b: b.const(100).load(0).div().retv()
+        ),
+        JitConfig(hot_threshold=3, backend="py"),
+        tuned_inliner(1.0),
+    )
+    trap_outcomes = [
+        _observe(trap, "T", "f", [2 - i % 4]) for i in range(12)
+    ]
+
+    ts = Engine(
+        classify_program(),
+        JitConfig(hot_threshold=4, speculate=True, typespec=True,
+                  backend="py"),
+        tuned_inliner(1.0),
+    )
+    ts_outcomes = [
+        _observe(ts, "Main", "drive", [i % 2 if i >= 10 else 0])
+        for i in range(16)
+    ]
+
+    engines = (flip, osr, trap, ts)
+    result = {
+        "flip": flip_outcomes,
+        "osr": osr_outcomes,
+        "trap": trap_outcomes,
+        "ts": ts_outcomes,
+        "output": [list(e.vm.output) for e in engines],
+        "deopts": flip.deopt_count,
+        "osr_entries": osr.osr_entry_count,
+        "ts_deopts": ts.deopt_count,
+        "async_installs": sum(e.async_installs for e in engines),
+        "compilations": sum(e.compilation_count for e in engines),
+        "py_execs": sum(e.py_exec_count for e in engines),
+    }
+    for e in engines:
+        e.shutdown()
+    return result
 
 
-def test_async_pin_matrix_bit_identical():
+def _run_combo(monkeypatch, bits):
+    for (name, value), bit in zip(PINS, bits):
+        if bit:
+            monkeypatch.setenv(name, value)
+        else:
+            monkeypatch.delenv(name, raising=False)
+    return _workload()
+
+
+def test_async_pin_matrix_bit_identical(monkeypatch):
     combos = [
         bits + (False, False)
         for bits in itertools.product((False, True), repeat=len(PINS) - 2)
     ] + BACKEND_PINNED_COMBOS + TYPESPEC_PINNED_COMBOS
-    results = {bits: _run_combo(bits) for bits in combos}
+    results = {bits: _run_combo(monkeypatch, bits) for bits in combos}
     baseline = results[(False,) * len(PINS)]
 
     # Outcomes (values and trap kinds) and printed output are

@@ -1,6 +1,6 @@
 """The inlining-trial memo: result-identical, wall-clock only.
 
-``JitConfig.enable_trial_memo`` caches expansion/retrial results within
+The compiler's ``TrialMemo`` caches expansion/retrial results within
 one compilation, keyed by (method, caller context, argument-stamp
 signature). Profiles are frozen for the duration of a synchronous
 compilation, so equal keys must produce bit-identical graphs — which
@@ -18,10 +18,12 @@ from tests.helpers import shapes_program
 def _run(program, memo_on, iterations=8, hot_threshold=5):
     engine = Engine(
         program,
-        JitConfig(hot_threshold=hot_threshold, enable_trial_memo=memo_on),
+        JitConfig(hot_threshold=hot_threshold),
         inliner=tuned_inliner(0.1),
         seed=0x5EED,
     )
+    if not memo_on:
+        engine.compiler.context.trial_memo = None
     curve = []
     value = None
     for _ in range(iterations):
@@ -43,12 +45,10 @@ def test_cycle_model_identical_memo_on_off():
     )
 
 
-def test_memo_attached_only_when_enabled():
+def test_memo_always_attached():
     program = shapes_program()
-    _, _, engine_on = _run(program, memo_on=True, iterations=1)
-    assert isinstance(engine_on.compiler.context.trial_memo, TrialMemo)
-    _, _, engine_off = _run(program, memo_on=False, iterations=1)
-    assert engine_off.compiler.context.trial_memo is None
+    _, _, engine = _run(program, memo_on=True, iterations=1)
+    assert isinstance(engine.compiler.context.trial_memo, TrialMemo)
 
 
 def test_memo_hits_on_repetitive_workload():
@@ -91,7 +91,7 @@ def test_memo_metrics_exported():
     obs = Observability()
     engine = Engine(
         program,
-        JitConfig(hot_threshold=5, enable_trial_memo=True),
+        JitConfig(hot_threshold=5),
         inliner=tuned_inliner(0.1),
         seed=0x5EED,
         obs=obs,
