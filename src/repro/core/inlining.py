@@ -20,6 +20,7 @@ from repro.core.trials import (
     discover_children,
     normalize_node,
 )
+from repro.deopt import SPECULATION_MAX_TARGETS, SPECULATION_MIN_COVERAGE
 
 _INLINEABLE = (NodeKind.CUTOFF, NodeKind.EXPANDED, NodeKind.POLYMORPHIC)
 
@@ -233,10 +234,10 @@ class InliningPhase:
             return False, "no-frame-state"
         if invoke.megamorphic:
             return False, "megamorphic"
-        if len(targets) > policy.max_targets:
+        if len(targets) > SPECULATION_MAX_TARGETS:
             return False, "too-many-targets"
         coverage = sum(probability for _, probability, _ in targets)
-        if coverage < policy.min_coverage:
+        if coverage < SPECULATION_MIN_COVERAGE:
             return False, "low-coverage"
         log = policy.log
         if log is not None:

@@ -180,6 +180,13 @@ class SpeculationLog:
         return sorted(self._refuted.items())
 
 
+#: Minimum receiver-profile coverage (summed target probabilities) at
+#: which a typeswitch may drop its virtual fallback.
+SPECULATION_MIN_COVERAGE = 0.95
+#: Speculate only through mono- or bimorphic sites.
+SPECULATION_MAX_TARGETS = 2
+
+
 class SpeculationPolicy:
     """Per-compilation speculation knobs handed to the inliner.
 
@@ -189,13 +196,10 @@ class SpeculationPolicy:
     machinery, so it only has effect when ``enabled`` is also set.
     """
 
-    __slots__ = ("enabled", "min_coverage", "max_targets", "log", "typecheck")
+    __slots__ = ("enabled", "log", "typecheck")
 
-    def __init__(self, enabled, min_coverage, max_targets, log,
-                 typecheck=False):
+    def __init__(self, enabled, log, typecheck=False):
         self.enabled = enabled
-        self.min_coverage = min_coverage
-        self.max_targets = max_targets
         self.log = log
         self.typecheck = typecheck
 

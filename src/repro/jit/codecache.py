@@ -13,7 +13,7 @@ Two implementations share the same surface:
 - :class:`CodeCache` — the classic per-engine cache (one VM instance,
   unbounded, the paper's measurement protocol).
 - :class:`SharedCodeCache` — the multi-tenant serving cache
-  (:mod:`repro.serve`): one sharded store for the whole process with
+  (:mod:`repro.serve`): one store for the whole process with
   per-tenant byte quotas and LRU- or hotness-driven eviction under a
   global memory budget. Engines see it through a per-tenant
   :class:`TenantCacheView`, which implements the :class:`CodeCache`
@@ -173,9 +173,10 @@ class _Entry:
 class SharedCodeCache:
     """Process-wide installed-code store for multi-tenant serving.
 
-    - **Sharded**: entries are spread over ``shards`` dicts by key hash;
-      lookups are lock-free dict reads (atomic under the GIL), so hot
-      dispatch paths of concurrent tenants never contend.
+    - **Lock-free lookups**: one dict holds every entry; a dict read
+      is atomic under the GIL, so hot dispatch paths of concurrent
+      tenants never contend. Installs, evictions and walks take the
+      lock.
     - **Budgeted**: a global byte ``budget`` bounds the sum of installed
       code across all tenants; per-tenant byte quotas bound each
       tenant's share. Exceeding either evicts victims.
@@ -195,7 +196,7 @@ class SharedCodeCache:
     the method compile-failed rather than thrash the cache.
     """
 
-    def __init__(self, budget=None, shards=8, policy="lru",
+    def __init__(self, budget=None, policy="lru",
                  tenant_quota=None, hotness_fn=None, obs=None):
         if policy not in ("lru", "hotness"):
             raise ValueError("unknown eviction policy %r" % (policy,))
@@ -203,8 +204,7 @@ class SharedCodeCache:
         self.policy = policy
         self.default_quota = tenant_quota
         self.hotness_fn = hotness_fn
-        self._shard_count = max(1, int(shards))
-        self._shards = [{} for _ in range(self._shard_count)]
+        self._entries = {}
         self._lock = threading.RLock()
         self._tick = 0
         self.total_size = 0
@@ -255,10 +255,8 @@ class SharedCodeCache:
         number of bytes reclaimed."""
         with self._lock:
             reclaimed = 0
-            for shard in self._shards:
-                for key in [k for k in shard if k[0] == tenant]:
-                    entry = shard.pop(key)
-                    reclaimed += entry.size
+            for key in [k for k in self._entries if k[0] == tenant]:
+                reclaimed += self._entries.pop(key).size
             self.total_size -= reclaimed
             self._tenant_bytes.pop(tenant, None)
             if self._m_bytes is not None:
@@ -269,11 +267,8 @@ class SharedCodeCache:
     # Lookup / install / evict (tenant-scoped)
     # ------------------------------------------------------------------
 
-    def _shard_of(self, key):
-        return self._shards[hash(key) % self._shard_count]
-
     def _get(self, key):
-        entry = self._shard_of(key).get(key)
+        entry = self._entries.get(key)
         if entry is not None:
             self._tick += 1
             entry.tick = self._tick
@@ -291,11 +286,11 @@ class SharedCodeCache:
         return self._get((tenant, method, bci))
 
     def contains(self, tenant, method):
-        return (tenant, method) in self._shard_of((tenant, method))
+        return (tenant, method) in self._entries
 
     def size_of(self, tenant, method):
         """Entry size without touching its recency (introspection)."""
-        entry = self._shard_of((tenant, method)).get((tenant, method))
+        entry = self._entries.get((tenant, method))
         return entry.size if entry is not None else 0
 
     def _install(self, tenant, key, entry):
@@ -310,12 +305,11 @@ class SharedCodeCache:
             if self._m_rejections is not None:
                 self._m_rejections.inc()
             return False
-        shard = self._shard_of(key)
-        previous = shard.get(key)
+        previous = self._entries.get(key)
         if previous is not None:
             self._account_removal(previous)
             self._reinstalls[tenant] = self._reinstalls.get(tenant, 0) + 1
-        shard[key] = entry
+        self._entries[key] = entry
         self.total_size += entry.size
         self._tenant_bytes[tenant] = (
             self._tenant_bytes.get(tenant, 0) + entry.size
@@ -353,7 +347,7 @@ class SharedCodeCache:
         self._tenant_bytes[tenant] = remaining
 
     def _remove(self, key):
-        entry = self._shard_of(key).pop(key, None)
+        entry = self._entries.pop(key, None)
         if entry is None:
             return None
         self._account_removal(entry)
@@ -391,13 +385,12 @@ class SharedCodeCache:
         return (entry.tick,)
 
     def _candidates(self, protect, tenant=None):
-        for shard in self._shards:
-            for entry in shard.values():
-                if entry is protect:
-                    continue
-                if tenant is not None and entry.tenant != tenant:
-                    continue
-                yield entry
+        for entry in self._entries.values():
+            if entry is protect:
+                continue
+            if tenant is not None and entry.tenant != tenant:
+                continue
+            yield entry
 
     def _evict_entry(self, victim):
         """Remove *victim* and — for whole-method entries — its OSR
@@ -407,16 +400,15 @@ class SharedCodeCache:
             keys = [(tenant, victim.method, victim.osr_bci)]
         else:
             keys = [(tenant, victim.method)]
-            for shard in self._shards:
-                keys.extend(
-                    key
-                    for key, entry in shard.items()
-                    if (
-                        entry.is_osr
-                        and entry.tenant == tenant
-                        and entry.method is victim.method
-                    )
+            keys.extend(
+                key
+                for key, entry in self._entries.items()
+                if (
+                    entry.is_osr
+                    and entry.tenant == tenant
+                    and entry.method is victim.method
                 )
+            )
         for key in keys:
             entry = self._remove(key)
             if entry is None:
@@ -480,32 +472,25 @@ class SharedCodeCache:
 
     def method_count(self, tenant):
         # Under the lock: other tenants' threads install/evict while we
-        # walk the shards (their dispatch checks max_compiled_methods).
+        # walk the entries (their dispatch checks max_compiled_methods).
         with self._lock:
-            count = 0
-            for shard in self._shards:
-                for entry in shard.values():
-                    if entry.tenant == tenant and not entry.is_osr:
-                        count += 1
-            return count
+            return sum(
+                1 for entry in self._entries.values()
+                if entry.tenant == tenant and not entry.is_osr
+            )
 
     def osr_count(self, tenant=None):
         with self._lock:
-            count = 0
-            for shard in self._shards:
-                for entry in shard.values():
-                    if entry.is_osr and (
-                        tenant is None or entry.tenant == tenant
-                    ):
-                        count += 1
-            return count
+            return sum(
+                1 for entry in self._entries.values()
+                if entry.is_osr and (tenant is None or entry.tenant == tenant)
+            )
 
     def installed_methods(self, tenant):
         with self._lock:
             return [
                 entry.method
-                for shard in self._shards
-                for entry in shard.values()
+                for entry in self._entries.values()
                 if entry.tenant == tenant and not entry.is_osr
             ]
 
@@ -522,7 +507,7 @@ class SharedCodeCache:
         return self._reinstalls_after_evict.get(tenant, 0)
 
     def __len__(self):
-        return sum(len(shard) for shard in self._shards)
+        return len(self._entries)
 
 
 class TenantCacheView:

@@ -131,8 +131,6 @@ class JitCompiler:
 
         self.context.speculation = SpeculationPolicy(
             enabled=config.speculation_enabled(),
-            min_coverage=config.speculation_min_coverage,
-            max_targets=config.speculation_max_targets,
             log=speculation_log
             if speculation_log is not None
             else SpeculationLog(),

@@ -85,10 +85,6 @@ class JitConfig:
             ``True`` lets the inliner replace well-predicted virtual
             fallbacks with guard/deopt (:mod:`repro.deopt`); ``False``
             keeps the conservative typeswitch.
-        speculation_min_coverage: minimum receiver-profile coverage
-            (summed target probabilities) to drop the fallback.
-        speculation_max_targets: speculate only through mono/bimorphic
-            sites by default.
         speculation_deopt_limit: deopts tolerated per compiled root
             before the engine stops speculating in that method
             entirely (bounds deopt/recompile churn).
@@ -136,10 +132,6 @@ class JitConfig:
             *without* an externally attached compile service — a
             multi-tenant :class:`~repro.serve.service.VMService` shares
             one pipeline across all tenant engines instead).
-        compile_queue_capacity: bound of the engine-private compile
-            queue; a full queue rejects the request (backpressure) and
-            the method stays interpreted until a later hot dispatch
-            retries.
     """
 
     def __init__(
@@ -153,8 +145,6 @@ class JitConfig:
         context_sensitive_profiles=False,
         interp_predecode=None,
         speculate=None,
-        speculation_min_coverage=0.95,
-        speculation_max_targets=2,
         speculation_deopt_limit=3,
         typespec=None,
         osr=None,
@@ -163,7 +153,6 @@ class JitConfig:
         backend=None,
         compile_mode=None,
         compile_workers=1,
-        compile_queue_capacity=32,
     ):
         self.hot_threshold = hot_threshold
         self.compile_enabled = compile_enabled
@@ -174,8 +163,6 @@ class JitConfig:
         self.context_sensitive_profiles = context_sensitive_profiles
         self.interp_predecode = interp_predecode
         self.speculate = speculate
-        self.speculation_min_coverage = speculation_min_coverage
-        self.speculation_max_targets = speculation_max_targets
         self.speculation_deopt_limit = speculation_deopt_limit
         self.typespec = typespec
         self.osr = osr
@@ -184,7 +171,6 @@ class JitConfig:
         self.backend = backend
         self.compile_mode = compile_mode
         self.compile_workers = compile_workers
-        self.compile_queue_capacity = compile_queue_capacity
 
     def flight_dump_path(self):
         """Resolve the dump-on-crash path against ``REPRO_FLIGHT_DUMP``."""

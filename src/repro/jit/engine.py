@@ -120,7 +120,7 @@ class Engine:
         )
         #: Installed-code bookkeeping. Per-engine by default; a
         #: multi-tenant service passes a per-tenant *view* of a shared
-        #: sharded cache instead (same surface, global accounting).
+        #: cache instead (same surface, global accounting).
         self.code_cache = (
             code_cache if code_cache is not None else CodeCache(obs=self.obs)
         )
@@ -449,14 +449,16 @@ class Engine:
 
     def _service(self):
         """The attached compile service, creating a private pipeline
-        (one worker, bounded queue) on first use when none was given."""
+        on first use when none was given. Its queue keeps the
+        scheduler's default bound: a full queue rejects the request
+        (backpressure) and the method stays interpreted until a later
+        hot dispatch retries."""
         service = self.compile_service
         if service is None:
             from repro.serve.scheduler import BackgroundCompiler
 
             service = BackgroundCompiler(
                 workers=self.config.compile_workers,
-                queue_capacity=self.config.compile_queue_capacity,
                 obs=self.obs,
             )
             self.compile_service = service

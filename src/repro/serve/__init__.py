@@ -6,7 +6,7 @@ package makes that setting real: compilation requests are enqueued on a
 bounded :class:`~repro.serve.queue.CompileQueue` and drained by
 :class:`~repro.serve.scheduler.BackgroundCompiler` worker threads while
 interpretation continues, and a :class:`~repro.serve.service.VMService`
-hosts many tenant workloads in one process over a shared, sharded
+hosts many tenant workloads in one process over a shared
 :class:`~repro.jit.codecache.SharedCodeCache` with per-tenant quotas
 and eviction under a global memory budget.
 

@@ -27,13 +27,9 @@ class ServiceConfig:
         tenant_quota: default per-tenant byte quota (None = unbounded;
             a :class:`TenantSpec` can override per tenant).
         eviction_policy: ``"lru"`` or ``"hotness"`` victim selection.
-        cache_shards: shard count of the shared code cache.
         compile_mode: ``"sync"`` / ``"async"`` / None — forwarded into
             every tenant's :class:`~repro.jit.config.JitConfig`; None
             defers to ``REPRO_COMPILE`` (sync remains the hard pin).
-        share_profiles: predicate on qualified method names selecting
-            the methods whose profiles are pooled across tenants
-            (None = pool everything).
         hot_threshold: default compile threshold for tenant engines.
         backend: ``"machine"`` / ``"py"`` / None — default executor
             backend forwarded into every tenant's
@@ -44,17 +40,15 @@ class ServiceConfig:
 
     def __init__(self, max_tenants=16, compile_workers=2,
                  queue_capacity=64, cache_budget=None, tenant_quota=None,
-                 eviction_policy="lru", cache_shards=8, compile_mode=None,
-                 share_profiles=None, hot_threshold=40, backend=None):
+                 eviction_policy="lru", compile_mode=None,
+                 hot_threshold=40, backend=None):
         self.max_tenants = max_tenants
         self.compile_workers = compile_workers
         self.queue_capacity = queue_capacity
         self.cache_budget = cache_budget
         self.tenant_quota = tenant_quota
         self.eviction_policy = eviction_policy
-        self.cache_shards = cache_shards
         self.compile_mode = compile_mode
-        self.share_profiles = share_profiles
         self.hot_threshold = hot_threshold
         self.backend = backend
 

@@ -8,12 +8,11 @@ infrastructure:
 - one :class:`~repro.jit.codecache.SharedCodeCache` with per-tenant
   quotas and LRU/hotness eviction under a global byte budget,
 - one :class:`~repro.serve.profiles.SharedProfileAggregator` pooling
-  profiles of shared library methods across tenants.
+  method profiles across tenants.
 
 ``run()`` executes every admitted tenant's workload on its own thread
 and returns a :class:`ServiceReport` with per-tenant outcomes,
-throughput, and a Jain fairness index — the measurement surface the
-perf harness's mixed-traffic workload builds on.
+throughput, and a Jain fairness index.
 
 Eviction mid-flight (``evict()``) stops the tenant's workload at the
 next iteration edge, cancels its queued compilations (cancellation is
@@ -91,12 +90,9 @@ class VMService:
         self.config = config if config is not None else ServiceConfig()
         self.obs = obs if obs is not None else NULL_OBS
         self.admission = AdmissionController(self.config)
-        self.aggregator = SharedProfileAggregator(
-            share=self.config.share_profiles
-        )
+        self.aggregator = SharedProfileAggregator()
         self.cache = SharedCodeCache(
             budget=self.config.cache_budget,
-            shards=self.config.cache_shards,
             policy=self.config.eviction_policy,
             tenant_quota=self.config.tenant_quota,
             hotness_fn=self._hotness_of,

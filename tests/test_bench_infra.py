@@ -6,8 +6,13 @@ import pytest
 from repro.bench import all_benchmarks, get_benchmark
 from repro.bench.configs import CONFIG_FACTORIES
 from repro.bench.harness import run_matrix, format_table
-from repro.bench.measurement import measure_benchmark, steady_window
+from repro.bench.measurement import (
+    Measurement,
+    measure_benchmark,
+    steady_window,
+)
 from repro.bench.suite import benchmarks_in_suite
+from tests.helpers import shapes_program
 
 
 class TestSuiteRegistry:
@@ -65,6 +70,21 @@ class TestMeasurementProtocol:
             program, lambda: None, instances=1, iterations=2, base_seed=1
         )
         assert a.values == b.values  # same seed -> same results
+
+    def test_measurement_has_wall_seconds(self):
+        result = Measurement("b", "c")
+        assert result.wall_seconds == 0.0
+        assert "wall_seconds" in result.as_dict()
+
+    def test_measure_benchmark_records_wall_time(self):
+        result = measure_benchmark(
+            shapes_program(),
+            inliner_factory=None,
+            instances=2,
+            iterations=3,
+        )
+        assert result.wall_seconds > 0.0
+        assert result.as_dict()["wall_seconds"] == result.wall_seconds
 
 
 class TestHarness:

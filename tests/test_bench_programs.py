@@ -9,9 +9,12 @@ lambdas, and so on. This keeps benchmark edits honest.
 
 import pytest
 
+from repro.baselines import tuned_inliner
 from repro.bench.suite import all_benchmarks, get_benchmark
 from repro.bytecode.opcodes import Op
 from repro.interp import Interpreter
+from repro.jit.config import JitConfig
+from repro.jit.engine import Engine
 from repro.runtime import VMState
 
 
@@ -23,13 +26,28 @@ def _opcodes_used(program):
     return ops
 
 
-def _steady_values(name, runs=3):
+def _steady_values(name, runs=3, predecode=None):
     spec = get_benchmark(name)
     program = spec.load()
     vm = VMState(program)
-    interp = Interpreter(vm)
+    interp = Interpreter(vm, predecode=predecode)
     interp.call_static("Main", "run")  # setup iteration
     return [interp.call_static("Main", "run") for _ in range(runs)]
+
+
+def _engine_run(name, config, iterations, inliner=None):
+    """Per-iteration values and cycles, interpreted op count and
+    printed output of one fresh engine."""
+    engine = Engine(
+        get_benchmark(name).load(), config, inliner=inliner, seed=0x5EED
+    )
+    results = [engine.run_iteration("Main", "run") for _ in range(iterations)]
+    return {
+        "values": [r.value for r in results],
+        "cycles": [r.total_cycles for r in results],
+        "ops": engine.interpreter.ops_executed,
+        "output": list(engine.vm.output),
+    }
 
 
 class TestDeterminism:
@@ -43,8 +61,56 @@ class TestDeterminism:
         )
 
     def test_two_interpreters_agree(self):
-        for name in ("factorie", "h2", "tmt"):
-            assert _steady_values(name) == _steady_values(name)
+        for name in ("factorie", "h2", "tmt", "gauss-mix", "stmbench7"):
+            assert _steady_values(name, predecode=False) == _steady_values(
+                name, predecode=True
+            ), name
+
+    @pytest.mark.parametrize("name", ["gauss-mix", "stmbench7"])
+    def test_interpreter_tiers_identical_in_engine(self, name):
+        """Classic vs pre-decoded tier with compilation off: values,
+        per-iteration cycles and op counts are bit-identical."""
+        runs = [
+            _engine_run(
+                name,
+                JitConfig(compile_enabled=False, interp_predecode=predecode),
+                iterations=2,
+            )
+            for predecode in (False, True)
+        ]
+        assert runs[0] == runs[1]
+
+    def test_interpreter_tiers_identical_under_jit(self):
+        """The tiered stack with the tuned inliner: swapping the
+        interpreter tier changes nothing the compiler sees."""
+        runs = [
+            _engine_run(
+                "jython",
+                JitConfig(interp_predecode=predecode),
+                iterations=4,
+                inliner=tuned_inliner(0.1),
+            )
+            for predecode in (False, True)
+        ]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("name", ["gauss-mix", "stmbench7"])
+    def test_py_backend_matches_interpreter(self, name):
+        """The py tier against the pre-decoded interpreter alone: the
+        tiers differ, so only values and printed output must match."""
+        interpreted = _engine_run(
+            name,
+            JitConfig(compile_enabled=False, interp_predecode=True),
+            iterations=4,
+        )
+        compiled = _engine_run(
+            name,
+            JitConfig(hot_threshold=10, interp_predecode=True, backend="py"),
+            iterations=4,
+            inliner=tuned_inliner(0.1),
+        )
+        for key in ("values", "output"):
+            assert compiled[key] == interpreted[key]
 
 
 class TestWorkloadShapes:
