@@ -14,15 +14,25 @@ Codegen shape
 -------------
 
 One function per graph. Each SSA value becomes a Python local
-``v<node id>`` (constants are inlined as literals and never assigned);
-control flow is a ``while True:`` state machine over block ids whose
-``if/elif`` dispatch chain is ordered by profiled block frequency, so
-hot loop bodies re-dispatch in one or two integer comparisons. Phis
-become native tuple assignments on the incoming edges (Python's
-parallel assignment gives the parallel-copy semantics the machine
-backend needs a scratch register for). Compare and instance-of nodes
-whose single use is the same block's branch or guard are fused into the
-``if`` condition instead of materializing a 0/1 local.
+``v<node id>`` (constants are inlined as literals and never assigned).
+Control flow is structured Python wherever the CFG allows: a block
+whose single predecessor comes earlier in reverse postorder is emitted
+in place at that edge, so if/else arms nest, and a merge that is not a
+loop header is emitted right after the ``if/else`` of its immediate
+dominator, which both arms fall through to. Only the blocks something
+still jumps to by id (loop headers, an entry with predecessors, merges
+no ``if/else`` can host, and blocks that would nest past
+:data:`MAX_DEPTH`) sit in a ``while True:`` dispatcher, whose
+``if/elif`` chain is ordered by profiled block frequency; a jump to one
+of them is ``_b = <id>``, plus ``continue`` when code follows it. Every
+block's code is emitted once: when a merge would need both a
+fall-through and a jump, it becomes a dispatch target and the function
+is emitted again. Phis become native tuple assignments on the incoming
+edges (Python's parallel assignment gives the parallel-copy semantics
+the machine backend needs a scratch register for). Compare and
+instance-of nodes whose single use is the same block's branch or guard
+are fused into the ``if`` condition instead of materializing a 0/1
+local.
 
 Parity rules (mirroring :class:`~repro.backend.machine.MachineExecutor`
 instruction by instruction):
@@ -63,6 +73,7 @@ from repro.errors import (
 )
 from repro.ir import nodes as n
 from repro.ir import stamps as st
+from repro.ir.dominators import compute_dominators
 from repro.runtime import int64
 from repro.runtime.int64 import int_div, int_rem, wrap64
 from repro.runtime.intrinsics import intrinsic_function
@@ -77,6 +88,11 @@ _MASK = int64._WRAP - 1
 #: Node-count ceiling; beyond it the generated source stops paying for
 #: itself and ``compile()`` time becomes noticeable, so bail out.
 MAX_NODES = 50000
+
+#: Deepest indentation an in-place if/else arm may reach. CPython
+#: rejects source indented past 100 levels, so a block that would nest
+#: deeper becomes a dispatch target instead of a compile failure.
+MAX_DEPTH = 60
 
 
 class PyCodegenBailout(Exception):
@@ -132,11 +148,6 @@ class _PyCodegen:
     def __init__(self, graph, cost_model):
         self.graph = graph
         self.cost = cost_model
-        self.lines = []
-        self.deopt_table = []
-        self.reasons = []
-        self.globals = {}
-        self._next_global = 0
 
     # -- source assembly ----------------------------------------------------
 
@@ -167,6 +178,85 @@ class _PyCodegen:
                 "%d nodes > %d" % (graph.node_count(), MAX_NODES),
             )
         order = graph.reverse_postorder()
+        self._plan(order)
+        # A jump the structured layout cannot express makes its target a
+        # dispatch target; re-emit until every edge is laid out.
+        while True:
+            self._conflicts = set()
+            self._emit_function(order)
+            if not self._conflicts:
+                break
+            self._targets |= self._conflicts
+            self._choose_joins()
+
+        self.globals.update(
+            _mf=materialize_frames,
+            _DS=DeoptSignal,
+            _METHOD=graph.method,
+            _TABLE=tuple(self.deopt_table),
+            _REASONS=tuple(self.reasons),
+            _NPT=NullPointerTrap,
+            _BT=BoundsTrap,
+            _CT=CastTrap,
+            _VE=VMError,
+            _OR=ObjRef,
+            _AR=ArrayRef,
+            _idiv=int_div,
+            _irem=int_rem,
+            _wrap=wrap64,
+        )
+        source = "\n".join(self.lines) + "\n"
+        name = getattr(graph, "name", None) or graph.method.qualified_name
+        try:
+            code = compile(source, "<pycodegen:%s>" % name, "exec")
+        except (SyntaxError, ValueError, RecursionError, MemoryError) as error:
+            raise PyCodegenBailout("compile-failed", repr(error))
+        exec(code, self.globals)
+        return self.globals["_factory"], source
+
+    # -- layout -------------------------------------------------------------
+
+    def _plan(self, order):
+        """Pick the blocks reached by id: loop headers (and an entry
+        with predecessors) up front; merges when no if/else can host
+        them."""
+        rank = {block: i for i, block in enumerate(order)}
+        self._idom = compute_dominators(self.graph)
+        self._targets = set()
+        self._merges = []
+        for block in order:
+            preds = [p for p in block.preds if p in rank]
+            if any(rank[p] >= rank[block] for p in preds):
+                self._targets.add(block)
+            elif len(preds) > 1:
+                self._merges.append(block)
+        self._choose_joins()
+
+    def _choose_joins(self):
+        """Host each merge right after the if/else of its immediate
+        dominator, one merge per if/else (the first in reverse
+        postorder); every other merge becomes a dispatch target."""
+        self._joins = {}
+        for block in self._merges:
+            if block in self._targets:
+                continue
+            head = self._idom[block]
+            if type(head.terminator) is n.IfNode and head not in self._joins:
+                self._joins[head] = block
+            else:
+                self._targets.add(block)
+        self._joined = set(self._joins.values())
+
+    # -- emission -----------------------------------------------------------
+
+    def _emit_function(self, order):
+        self.lines = []
+        self.deopt_table = []
+        self.reasons = []
+        self.globals = {}
+        self._next_global = 0
+        self._in_loop = False
+        graph = self.graph
         entry = order[0]
         lines = self.lines
         lines.append("def _deopt(index, values):")
@@ -192,60 +282,124 @@ class _PyCodegen:
             self._line(2, "v%d = args[%d]" % (param.id, index))
         self._line(2, "_cy = %d" % self.cost.METHOD_ENTRY)
 
-        # The entry block runs exactly once when it has no predecessors
-        # (the common case); emit it inline before the dispatch loop so
-        # straight-line methods never touch the state machine at all.
-        inline_entry = not entry.preds
-        labeled = [b for b in order if not (inline_entry and b is entry)]
-        if inline_entry:
-            self._emit_block(entry, 2)
-        else:
+        # Straight-line and if/else code runs in place; only the blocks
+        # something jumps to by id sit in the `while True` dispatcher.
+        # Falling off the in-place entry region means `_b` is set.
+        targets = self._targets
+        if entry in targets:
             self._line(2, "_b = %d" % entry.id)
-        if labeled:
+        else:
+            self._emit_region(entry, 2, None)
+        if targets:
             # Hot blocks dispatch first: the chain is ordered by the
             # profiled block frequency, ties broken by layout order.
             ranked = sorted(
-                enumerate(labeled),
+                enumerate(b for b in order if b in targets),
                 key=lambda item: (-getattr(item[1], "frequency", 1.0),
                                   item[0]),
             )
             self._line(2, "while True:")
+            self._in_loop = True
             for rank, (_, block) in enumerate(ranked):
                 keyword = "if" if rank == 0 else "elif"
                 self._line(3, "%s _b == %d:" % (keyword, block.id))
-                self._emit_block(block, 4)
+                self._emit_region(block, 4, None)
             self._line(3, "else:")
             self._line(4, "raise _VE('bad block id %d' % _b)")
         lines.append("    return _run")
 
-        self.globals.update(
-            _mf=materialize_frames,
-            _DS=DeoptSignal,
-            _METHOD=graph.method,
-            _TABLE=tuple(self.deopt_table),
-            _REASONS=tuple(self.reasons),
-            _NPT=NullPointerTrap,
-            _BT=BoundsTrap,
-            _CT=CastTrap,
-            _VE=VMError,
-            _OR=ObjRef,
-            _AR=ArrayRef,
-            _idiv=int_div,
-            _irem=int_rem,
-            _wrap=wrap64,
-        )
-        source = "\n".join(lines) + "\n"
-        name = getattr(graph, "name", None) or graph.method.qualified_name
-        try:
-            code = compile(source, "<pycodegen:%s>" % name, "exec")
-        except (SyntaxError, ValueError, RecursionError, MemoryError) as error:
-            raise PyCodegenBailout("compile-failed", repr(error))
-        exec(code, self.globals)
-        return self.globals["_factory"], source
+    def _emit_region(self, block, depth, follow):
+        """Emit *block* and whatever runs in place after it at *depth*.
+
+        *follow* is the block that falling off the region's end
+        reaches (the join after an enclosing if/else), or None when it
+        reaches the dispatcher with `_b` already set.
+        """
+        while block is not None:
+            fused = self._emit_block(block, depth)
+            term = block.terminator
+            t = type(term)
+            if t is n.GotoNode:
+                block = self._emit_edge(block, term.target, depth, follow)
+            elif t is n.IfNode:
+                join = self._joins.get(block)
+                self._emit_if(block, term, depth, fused,
+                              follow if join is None else join)
+                block = join
+            else:
+                self._emit_exit(block, depth)
+                block = None
+
+    def _emit_if(self, block, term, depth, fused, follow):
+        # An arm with nothing to do (it only falls through to *follow*)
+        # is left out, branching on the negated condition if need be.
+        negate = self._falls_through(block, term.true_block, follow)
+        first, second = term.true_block, term.false_block
+        if negate:
+            first, second = second, first
+        self._line(depth, "if %s:"
+                   % self._cond_expr(term.inputs[0], fused, negate))
+        self._emit_arm(block, first, depth + 1, follow)
+        if not self._falls_through(block, second, follow):
+            self._line(depth, "else:")
+            self._emit_arm(block, second, depth + 1, follow)
+
+    def _emit_arm(self, pred, succ, depth, follow):
+        mark = len(self.lines)
+        succ = self._emit_edge(pred, succ, depth, follow)
+        if succ is not None:
+            if depth > MAX_DEPTH:
+                self._conflicts.add(succ)
+            else:
+                self._emit_region(succ, depth, follow)
+        if len(self.lines) == mark:
+            self._line(depth, "pass")
+
+    def _falls_through(self, pred, succ, follow):
+        return succ is follow and not self._phi_moves(pred, succ)[0]
+
+    def _emit_edge(self, pred, succ, depth, follow):
+        """Emit the edge *pred*→*succ*; returns *succ* when its code
+        goes right here (its only predecessor is *pred*), else None."""
+        dsts, srcs = self._phi_moves(pred, succ)
+        if dsts:
+            # Tuple unpacking evaluates every source first: exactly
+            # the parallel-copy semantics phis need.
+            self._line(depth, "%s = %s" % (", ".join(dsts), ", ".join(srcs)))
+        if succ is follow:
+            return None
+        if succ in self._targets:
+            self._line(depth, "_b = %d" % succ.id)
+            if follow is not None:
+                if self._in_loop:
+                    self._line(depth, "continue")
+                else:
+                    # No loop to `continue` yet: end the region here.
+                    self._conflicts.add(follow)
+            return None
+        if succ in self._joined:
+            # A merge hosted by an if/else this edge cannot fall into.
+            self._conflicts.add(succ)
+            return None
+        return succ
+
+    def _phi_moves(self, pred, succ):
+        """Phi destinations and sources on the edge *pred*→*succ*."""
+        dsts, srcs = [], []
+        if succ.phis:
+            index = succ.pred_index(pred)
+            for phi in succ.phis:
+                source = phi.inputs[index]
+                if source is None or source is phi:
+                    continue
+                dsts.append("v%d" % phi.id)
+                srcs.append(self._val(source))
+        return dsts, srcs
 
     # -- blocks -------------------------------------------------------------
 
     def _emit_block(self, block, depth):
+        """Emit *block*'s cost and body; returns its fused conditions."""
         # Identical block price to the COST pseudo-instruction lowering
         # emits — this is what keeps the cycle model bit-identical.
         cost = sum(self.cost.node_cost(node) for node in block.instrs)
@@ -258,7 +412,7 @@ class _PyCodegen:
             if node in fused:
                 continue
             self._emit_node(node, depth, fused)
-        self._emit_terminator(block, depth, fused)
+        return fused
 
     def _fused_conditions(self, block):
         """Compare/instance-of nodes foldable into their single branch
@@ -535,7 +689,7 @@ class _PyCodegen:
 
     # -- terminators --------------------------------------------------------
 
-    def _emit_terminator(self, block, depth, fused):
+    def _emit_exit(self, block, depth):
         term = block.terminator
         line = self._line
         t = type(term)
@@ -544,17 +698,6 @@ class _PyCodegen:
             line(depth, "_sink(_cy)")
             line(depth, "return %s"
                  % (self._val(value) if value is not None else "None"))
-        elif t is n.GotoNode:
-            self._emit_edge(block, term.target, depth)
-            line(depth, "_b = %d" % term.target.id)
-        elif t is n.IfNode:
-            line(depth, "if %s:"
-                 % self._cond_expr(term.inputs[0], fused, negate=False))
-            self._emit_edge(block, term.true_block, depth + 1)
-            line(depth + 1, "_b = %d" % term.true_block.id)
-            line(depth, "else:")
-            self._emit_edge(block, term.false_block, depth + 1)
-            line(depth + 1, "_b = %d" % term.false_block.id)
         elif t is n.DeoptNode:
             index, values = self._deopt_entry(
                 term.frames, term.state_values, term.reason
@@ -567,21 +710,3 @@ class _PyCodegen:
             )
         else:
             raise PyCodegenBailout("unsupported-node", type(term).__name__)
-
-    def _emit_edge(self, pred, succ, depth):
-        """Phi inputs for the edge *pred*→*succ* as one native parallel
-        assignment (tuple unpacking evaluates every source first, which
-        is exactly the parallel-copy semantics)."""
-        if not succ.phis:
-            return
-        index = succ.pred_index(pred)
-        dsts, srcs = [], []
-        for phi in succ.phis:
-            source = phi.inputs[index]
-            if source is None or source is phi:
-                continue
-            dsts.append("v%d" % phi.id)
-            srcs.append(self._val(source))
-        if not dsts:
-            return
-        self._line(depth, "%s = %s" % (", ".join(dsts), ", ".join(srcs)))

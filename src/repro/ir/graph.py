@@ -141,7 +141,12 @@ class Graph:
 
     def node_count(self):
         """The paper's |ir| metric: number of nodes in the graph."""
-        return sum(1 for _ in self.all_nodes())
+        count = len(self.params)
+        for block in self.blocks:
+            count += len(block.phis) + len(block.instrs)
+            if block.terminator is not None:
+                count += 1
+        return count
 
     def invokes(self):
         """All call nodes, in block order."""

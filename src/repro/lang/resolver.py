@@ -124,6 +124,20 @@ class ClassTable:
                     if node.superclass and node.superclass != "Object"
                     else None
                 )
+        # A field name is one slot per object and one static per chain:
+        # a subclass may not redeclare an inherited field.
+        for decl in self.decls.values():
+            if decl.kind != "class" or not decl.superclass:
+                continue
+            for field in decl.fields:
+                for owner in self.superclass_chain(decl.superclass):
+                    if any(f.name == field.name for f in owner.fields):
+                        raise ResolveError(
+                            "field %s.%s redeclares inherited field %s.%s"
+                            % (decl.name, field.name, owner.name, field.name),
+                            field.line,
+                            field.column,
+                        )
 
     def has(self, name):
         return name == "Object" or name in self.decls

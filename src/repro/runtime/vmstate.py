@@ -31,6 +31,12 @@ class VMState:
         self._statics = {}
         self._rng_state = (seed ^ 0x9E3779B97F4A7C15) & _MASK
         self._init_statics()
+        # Resolutions, made once per VM and dropped when the class set
+        # changes: (class, field) → statics key of the declaring class,
+        # and class → default instance fields (copied per allocation).
+        self._slots = {}
+        self._layouts = {}
+        self._generation = program.generation
 
     def _init_statics(self):
         for klass in self.program.classes.values():
@@ -45,17 +51,35 @@ class VMState:
     # ------------------------------------------------------------------
 
     def get_static(self, class_name, field_name):
-        declaring, _ = self.program.lookup_field(class_name, field_name)
+        slot = self._slots.get((class_name, field_name))
+        if slot is None or self._generation != self.program.generation:
+            slot = self._static_slot(class_name, field_name)
         try:
-            return self._statics[(declaring.name, field_name)]
+            return self._statics[slot]
         except KeyError:
             raise LinkError(
                 "static field %s.%s not initialized" % (class_name, field_name)
             )
 
     def put_static(self, class_name, field_name, value):
+        slot = self._slots.get((class_name, field_name))
+        if slot is None or self._generation != self.program.generation:
+            slot = self._static_slot(class_name, field_name)
+        self._statics[slot] = value
+
+    def _static_slot(self, class_name, field_name):
+        self._refresh()
         declaring, _ = self.program.lookup_field(class_name, field_name)
-        self._statics[(declaring.name, field_name)] = value
+        slot = (declaring.name, field_name)
+        self._slots[class_name, field_name] = slot
+        return slot
+
+    def _refresh(self):
+        """Drop the resolutions made before the class set last changed."""
+        if self._generation != self.program.generation:
+            self._slots.clear()
+            self._layouts.clear()
+            self._generation = self.program.generation
 
     # ------------------------------------------------------------------
     # Allocation
@@ -63,13 +87,23 @@ class VMState:
 
     def allocate(self, class_name):
         """Allocate an object with default-initialized fields."""
-        fields = {}
+        layout = self._layouts.get(class_name)
+        if layout is None or self._generation != self.program.generation:
+            layout = self._layout(class_name)
+        self.allocation_count += 1
+        return ObjRef(class_name, layout.copy())
+
+    def _layout(self, class_name):
+        """Default value of every instance field of *class_name*; the
+        most-derived declaration of a name wins, as in ``lookup_field``."""
+        self._refresh()
+        layout = {}
         for klass in self.program.superclass_chain(class_name):
             for field in klass.fields.values():
-                if not field.is_static:
-                    fields[field.name] = default_value(field.type)
-        self.allocation_count += 1
-        return ObjRef(class_name, fields)
+                if not field.is_static and field.name not in layout:
+                    layout[field.name] = default_value(field.type)
+        self._layouts[class_name] = layout
+        return layout
 
     def allocate_array(self, elem_type, length):
         self.allocation_count += 1

@@ -4,7 +4,8 @@ inlining and after the final pipeline.
 
 This is the deepest structural net in the suite: every graph the
 inliner produces across all 28 workloads must satisfy full SSA
-invariants (dominance, edge/phi consistency, use-def symmetry).
+invariants (dominance, edge/phi consistency, use-def symmetry), and
+its O(blocks) ``node_count`` must equal a walk over every node.
 """
 
 import pytest
@@ -13,6 +14,11 @@ from repro.baselines import tuned_inliner
 from repro.bench.suite import all_benchmarks
 from repro.ir.checker import check_graph
 from repro.jit import Engine, JitConfig
+
+
+def check(graph, program):
+    check_graph(graph, program)
+    assert graph.node_count() == sum(1 for _ in graph.all_nodes())
 
 
 @pytest.mark.slow
@@ -39,12 +45,12 @@ def test_checked_compilation(name):
         graph = build_graph(method, program, engine.profiles)
         annotate_frequencies(graph)
         compiler.pipeline.run(graph, peel=False, rwe=False)
-        check_graph(graph, program)
+        check(graph, program)
         compiler.inliner.run(graph, compiler.context)
-        check_graph(graph, program)
+        check(graph, program)
         annotate_frequencies(graph)
         compiler.pipeline.run(graph)
-        check_graph(graph, program)
+        check(graph, program)
         checked["count"] += 1
         # Delegate the actual installation to the real compiler (it
         # rebuilds; determinism makes the result equivalent).

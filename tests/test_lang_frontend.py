@@ -191,6 +191,17 @@ class TestResolverDiagnostics:
             compile_source(source)
         assert "captured" in str(excinfo.value)
 
+    def test_redeclared_inherited_field(self):
+        source = """
+        class Cell { var v: int; }
+        class A { var x: Cell; }
+        class B extends A { var x: int; }
+        object Main { def run(): int { return (new B()).x + 1; } }
+        """
+        with pytest.raises(ResolveError) as excinfo:
+            compile_source(source)
+        assert "B.x redeclares inherited field A.x" in str(excinfo.value)
+
     def test_duplicate_class(self):
         with pytest.raises(ResolveError):
             compile_source("class A { } class A { }")

@@ -12,6 +12,8 @@ import pytest
 from repro.backend import pycodegen
 from repro.backend.pycodegen import PyCodegenBailout, _MASK, _SIGN
 from repro.baselines import tuned_inliner
+from repro.bytecode import MethodBuilder, verify_program
+from repro.bytecode.klass import FieldDef
 from repro.errors import TrapError
 from repro.jit.config import JitConfig
 from repro.jit.engine import Engine
@@ -19,6 +21,7 @@ from repro.obs import Observability
 from repro.runtime.int64 import wrap64
 from tests.helpers import (
     SHAPES_RESULT,
+    fresh_program,
     shapes_program,
     single_method_program,
 )
@@ -287,3 +290,157 @@ def test_stats_report_shows_bailouts(monkeypatch):
     assert "machine!" in rendered
     assert "py-backend bailouts" in rendered
     assert "graph-too-large" in rendered
+
+
+# -- code shape ----------------------------------------------------------
+
+
+def _source_of(engine, qualified_name):
+    for method in engine.code_cache.installed_methods():
+        if method.qualified_name == qualified_name:
+            code = engine.code_cache.get(method)
+            assert code.py_factory is not None, "py tier bailed out"
+            return code.py_source
+    raise AssertionError("%s was not compiled" % qualified_name)
+
+
+def test_loop_with_diamond_body_dispatches_only_its_header():
+    def build(b):
+        acc = b.alloc_local()
+        i = b.alloc_local()
+        b.const(0).store(acc)
+        b.const(0).store(i)
+        loop, even, join, done = (b.new_label() for _ in range(4))
+        b.place(loop).load(i).const(50).ge().if_true(done)
+        b.load(i).const(1).and_().const(0).eq().if_true(even)
+        b.load(acc).load(i).add().store(acc).goto(join)
+        b.place(even).load(acc).load(0).xor().store(acc)
+        b.place(join).load(i).const(1).add().store(i).goto(loop)
+        b.place(done).load(acc).retv()
+
+    machine, py = _run_both(
+        single_method_program(build), ("T", "f"), lambda i: [i * 37], 8
+    )
+    assert_identical(machine, py)
+    source = _source_of(py[2], "T.f")
+    assert source.count("while True:") == 1
+    assert source.count("_b == ") == 1
+
+
+def test_loop_free_if_else_nest_has_no_dispatcher():
+    def build(b):
+        r = b.alloc_local()
+        neg, big, tiny, join = (b.new_label() for _ in range(4))
+        b.load(0).const(0).lt().if_true(neg)
+        b.load(0).const(10).gt().if_true(big)
+        b.load(0).const(3).mul().store(r).goto(join)
+        b.place(big).load(0).const(7).sub().store(r).goto(join)
+        b.place(neg).load(0).const(-10).lt().if_true(tiny)
+        b.load(0).neg().store(r).goto(join)
+        b.place(tiny).const(99).store(r)
+        b.place(join).load(r).const(1).add().retv()
+
+    machine, py = _run_both(
+        single_method_program(build), ("T", "f"),
+        lambda i: [i * 5 - 30], 12,
+    )
+    assert_identical(machine, py)
+    source = _source_of(py[2], "T.f")
+    assert "while True" not in source
+    assert "_b = " not in source
+
+
+def test_if_chain_deeper_than_the_nesting_cap():
+    # Each level's fall-through arm holds the next level, so in-place
+    # emission would nest one indent per level: past MAX_DEPTH the
+    # chain must continue through the dispatcher, not fail to compile.
+    levels = pycodegen.MAX_DEPTH + 30
+
+    def build(b):
+        exits = [b.new_label() for _ in range(levels)]
+        for k, label in enumerate(exits):
+            b.load(0).const(k).le().if_true(label)
+        b.const(-1).retv()
+        for k, label in enumerate(exits):
+            b.place(label).load(0).const(k + 1).mul().retv()
+
+    machine, py = _run_both(
+        single_method_program(build), ("T", "f"),
+        lambda i: [(i * 13) % (levels + 5)], 16,
+    )
+    assert_identical(machine, py)
+    source = _source_of(py[2], "T.f")
+    assert "while True:" in source
+    indents = [len(x) - len(x.lstrip()) for x in source.splitlines()]
+    assert max(indents) <= 4 * (pycodegen.MAX_DEPTH + 2)
+
+
+def test_early_return_and_break_out_of_join_region():
+    def build(b):
+        acc = b.alloc_local()
+        i = b.alloc_local()
+        b.const(1).store(acc)
+        b.const(0).store(i)
+        loop, even, join, early, done = (b.new_label() for _ in range(5))
+        b.place(loop).load(i).const(40).ge().if_true(done)
+        b.load(i).load(0).eq().if_true(done)  # break
+        b.load(i).const(3).and_().const(0).eq().if_true(even)
+        b.load(acc).load(i).xor().store(acc).goto(join)
+        b.place(even).load(acc).load(i).add().store(acc)
+        b.place(join).load(acc).const(300).gt().if_true(early)
+        b.load(i).const(1).add().store(i).goto(loop)
+        b.place(early).load(acc).const(1000).add().retv()  # early return
+        b.place(done).load(acc).const(2).mul().retv()
+
+    machine, py = _run_both(
+        single_method_program(build), ("T", "f"),
+        lambda i: [(i * 7) % 45], 16,
+    )
+    assert_identical(machine, py)
+    values = {value for _, value in machine[0][3:]}
+    assert len(values) > 3  # breaks, early returns and full runs
+
+
+def _statics_program():
+    program = fresh_program()
+    base = program.define_class("A")
+    base.add_field(FieldDef("x", "int"))
+    base.add_field(FieldDef("count", "int", is_static=True))
+    program.define_class("B", superclass="A").add_field(FieldDef("y", "int"))
+    b = MethodBuilder("f", ["int"], "int", is_static=True)
+    obj = b.alloc_local()
+    b.new("B").store(obj)
+    b.load(obj).load(0).putfield("B", "x")
+    b.getstatic("B", "count").const(1).add().putstatic("B", "count")
+    b.load(obj).getfield("B", "x").load(obj).getfield("B", "y").add()
+    b.getstatic("A", "count").add().retv()
+    holder = program.define_class("T", is_abstract=True)
+    holder.add_method(b.build())
+    verify_program(program)
+    return program
+
+
+def test_statics_and_allocation_survive_class_loading():
+    # Defining a class on a live VM bumps program.generation: the
+    # runtime's resolved static owners and object layouts must follow.
+    results = []
+    for backend in ("machine", "py"):
+        program = _statics_program()
+        engine = _engine(program, backend)
+        values = [engine.run_iteration("T", "f", [i]).value
+                  for i in range(6)]
+        generation = program.generation
+        late = program.define_class("C", superclass="B")
+        late.add_field(FieldDef("z", "int"))
+        assert program.generation > generation
+        values += [engine.run_iteration("T", "f", [i]).value
+                   for i in range(6, 12)]
+        vm = engine.vm
+        assert vm.allocate("C").fields == {"z": 0, "y": 0, "x": 0}
+        vm.put_static("C", "count", 100)
+        assert vm.get_static("A", "count") == 100
+        results.append((values, list(engine.vm.output)))
+        if backend == "py":
+            assert engine.py_exec_count > 0
+    assert results[0] == results[1]
+    assert results[0][0] == [2 * i + 1 for i in range(12)]

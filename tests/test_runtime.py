@@ -30,6 +30,27 @@ class TestValues:
         vm = VMState(program)
         assert set(vm.allocate("S").fields) == {"a", "b"}
 
+    def test_redeclared_field_most_derived_wins(self):
+        # Assembler-built programs can shadow a field (minij rejects
+        # it): the object gets the most-derived declaration's default,
+        # the one lookup_field resolves.
+        program = fresh_program()
+        base = program.define_class("A")
+        base.add_field(FieldDef("x", "A"))
+        sub = program.define_class("B", superclass="A")
+        sub.add_field(FieldDef("x", "int"))
+        vm = VMState(program)
+        assert vm.allocate("B").fields == {"x": 0}
+        assert vm.allocate("A").fields == {"x": None}
+
+    def test_allocations_do_not_share_fields(self):
+        program = fresh_program()
+        program.define_class("P").add_field(FieldDef("x", "int"))
+        vm = VMState(program)
+        first = vm.allocate("P")
+        first.fields["x"] = 7
+        assert vm.allocate("P").fields == {"x": 0}
+
     def test_array_defaults(self):
         vm = VMState(fresh_program())
         ints = vm.allocate_array("int", 3)
@@ -68,6 +89,20 @@ class TestStatics:
         vm = VMState(program)
         vm.put_static("Sub", "shared", 5)
         assert vm.get_static("Base", "shared") == 5
+
+    def test_resolution_follows_class_loading(self):
+        program = fresh_program()
+        base = program.define_class("Base")
+        base.add_field(FieldDef("shared", "int", is_static=True))
+        base.add_field(FieldDef("a", "int"))
+        vm = VMState(program)
+        vm.put_static("Base", "shared", 5)
+        assert vm.allocate("Base").fields == {"a": 0}
+        late = program.define_class("Late", superclass="Base")
+        late.add_field(FieldDef("b", "int"))
+        vm.put_static("Late", "shared", vm.get_static("Late", "shared") + 1)
+        assert vm.get_static("Base", "shared") == 6
+        assert vm.allocate("Late").fields == {"b": 0, "a": 0}
 
     def test_fresh_vm_rezeroes_statics(self):
         program = fresh_program()
